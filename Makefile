@@ -57,7 +57,6 @@ fuzz:
 	$(GO) test -run xxx -fuzz 'FuzzLoadCacheLog$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run xxx -fuzz 'FuzzRecoverCacheDir$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run xxx -fuzz 'FuzzMembershipMessage$$' -fuzztime $(FUZZTIME) ./internal/peer
-	$(GO) test -run xxx -fuzz 'FuzzHandoffRecord$$' -fuzztime $(FUZZTIME) ./internal/peer
 	$(GO) test -run xxx -fuzz 'FuzzTenantConfig$$' -fuzztime $(FUZZTIME) ./internal/tenant
 	$(GO) test -run xxx -fuzz 'FuzzSLOConfig$$' -fuzztime $(FUZZTIME) ./internal/obs
 
@@ -72,19 +71,19 @@ serve:
 
 # Boot real cpackd processes as a warm-cache cluster and assert the
 # tier serves cross-instance with zero recompression, degrades cleanly
-# when one instance is killed, and — at -replicas 2 — survives a primary
-# crash via replica fallthrough, buffers hinted handoff, and read-repairs
-# a lagging replica.
+# when one instance is killed, hands entries off on a graceful leave,
+# and — at -replicas 2 — survives a primary crash via replica
+# fallthrough, including reads through the restarted, empty primary.
 cluster-smoke:
-	$(GO) test -race -count=1 -run 'TestTwoInstanceCluster|TestDynamicJoinAndLeave|TestReplicatedClusterCrashFailoverAndReadRepair' ./cmd/cpackd
+	$(GO) test -race -count=1 -run 'TestTwoInstanceCluster|TestDynamicJoinAndLeave|TestReplicatedClusterCrashFailover' ./cmd/cpackd
 	$(GO) test -race -count=1 -run 'TestPeer' ./internal/server
 
 # Replay the pinned deterministic fault schedules — partition,
 # crash/restart, message duplication, and the R=2 replication set
-# (primary crash with zero recompressions, partition staleness bounds,
-# hinted-handoff drain and reassign) — against the real membership and
-# ring code in virtual time, plus the impostor check and the
-# same-seed ⇒ byte-identical event-log determinism guard.
+# (primary crash with zero recompressions, partition staleness bounds)
+# — against the real membership and ring code in virtual time, plus the
+# impostor check and the same-seed ⇒ byte-identical event-log
+# determinism guard.
 sim-smoke:
 	$(GO) test -race -count=1 ./internal/peer/sim
 

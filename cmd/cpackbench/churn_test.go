@@ -63,7 +63,7 @@ func TestChurnClusterWarmFloor(t *testing.T) {
 	// The warm floor: after one pass over the 48-program working set,
 	// repeats must be served warm even though members keep dying. A
 	// single-node cache wiped this often could not hold this floor; the
-	// replica walk and read-repair are what keep it up.
+	// replica walk and anti-entropy are what keep it up.
 	if rep.Server.WarmRate < 0.5 {
 		t.Fatalf("warm-hit ratio %.2f through churn, want >= 0.5: %+v\nstderr:\n%s",
 			rep.Server.WarmRate, rep.Server, errs.String())

@@ -21,9 +21,9 @@
 // digest), drives them round-robin, and sums their metrics. Adding
 // -churn-interval stops one member at a time mid-run — alternating a
 // SIGKILL crash with a graceful SIGTERM leave — and restarts it, so the
-// report's warm-hit ratio measures failover, hinted handoff and
-// read-repair under member churn. A -trajectory run with -cluster set
-// appends one such churn report to the document.
+// report's warm-hit ratio measures the replica walk, anti-entropy and
+// the graceful-leave hand-off under member churn. A -trajectory run
+// with -cluster set appends one such churn report to the document.
 //
 // The runner is open-loop and coordinated-omission-aware: arrivals follow
 // the fixed -qps schedule and every latency is measured from the intended

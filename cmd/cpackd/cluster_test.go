@@ -227,15 +227,13 @@ func asmWithOwners(t *testing.T, ring *peer.Ring, salt int, want ...string) stri
 	return ""
 }
 
-// TestReplicatedClusterCrashFailoverAndReadRepair is the R=2 acceptance
-// test against real processes: a digest compressed on its primary owner
-// survives that owner's SIGKILL because fetches fall through to the
-// surviving replica; an entry born while the primary was down is hinted;
-// and after the primary restarts empty, the first read through it
-// repairs it from the verified replica (cpackd_peer_readrepair_total
-// > 0) — proven by killing the replica too and reading the repaired
-// copy back from the restarted primary.
-func TestReplicatedClusterCrashFailoverAndReadRepair(t *testing.T) {
+// TestReplicatedClusterCrashFailover is the R=2 acceptance test against
+// real processes: a digest compressed on its primary owner survives that
+// owner's SIGKILL because fetches fall through to the surviving replica,
+// and after the primary restarts empty a read through it still serves
+// warm — the restarted primary answers a clean 404 and the walk moves on
+// to the replica.
+func TestReplicatedClusterCrashFailover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess round trip")
 	}
@@ -299,56 +297,26 @@ func TestReplicatedClusterCrashFailoverAndReadRepair(t *testing.T) {
 		t.Errorf("cpackd_peer_replica_factor on D = %v, want 2", got)
 	}
 
-	// d2 is born on the surviving replica while its primary is down: the
-	// replication push to A fails and is buffered as a hint.
-	asm2 := asmWithOwners(t, ring, 31, urlA, urlB)
-	second := dB.compressAsm(t, asm2)
-	if second.Cached {
-		t.Fatal("first compression of the handoff digest reported cached")
-	}
-	waitDaemonMetric(t, dB, "cpackd_peer_handoff_hinted_total", 1)
-	if got := metricNumber(t, dB.metrics(t), "cpackd_peer_handoff_pending"); got != 1 {
-		t.Errorf("cpackd_peer_handoff_pending on B = %v, want 1", got)
-	}
-
 	// The primary restarts empty (no -cache-dir): the crash wiped its
-	// copy of d1 and it never saw d2. Its seed list names only the
-	// pristine C, so no survivor holding entries sees a ring change that
-	// would trigger an anti-entropy repair behind the test.
+	// copy. Its seed list names only C, and with frozen membership no
+	// member sees a ring change, so no anti-entropy pass refills it.
 	dA2 := startDaemon(t, append([]string{"-addr", addrA, "-peer-self", urlA,
 		"-peers", urlC}, frozen...)...)
 
-	// Read-repair: C misses d2 and walks [A, B] — the restarted primary
-	// answers a clean 404, the replica a verified hit — so C serves warm
-	// and re-offers the entry to the lagging primary.
-	onC := dC.compressAsm(t, asm2)
+	// C misses and walks [A, B]: the restarted primary answers a clean
+	// 404, the replica a verified hit, so C serves warm.
+	onC := dC.compressAsm(t, asm1)
 	if !onC.Cached {
-		t.Error("read through the lagging primary did not serve warm from the replica")
+		t.Error("read through the restarted primary did not serve warm from the replica")
 	}
-	if onC.Digest != second.Digest || onC.CompressedB64 != second.CompressedB64 {
-		t.Error("read-repair read served a different payload than the replica's compression")
+	if onC.Digest != first.Digest || onC.CompressedB64 != first.CompressedB64 {
+		t.Error("replica-served payload differs from the primary's compression")
 	}
-	mC := dC.metrics(t)
-	if got := metricNumber(t, mC, "cpackd_peer_readrepair_total"); got != 1 {
-		t.Errorf("cpackd_peer_readrepair_total on C = %v, want 1", got)
-	}
-	if got := metricNumber(t, mC, "cpackd_peer_replica_fallthroughs_total"); got != 1 {
+	if got := metricNumber(t, dC.metrics(t), "cpackd_peer_replica_fallthroughs_total"); got != 1 {
 		t.Errorf("cpackd_peer_replica_fallthroughs_total on C = %v, want 1", got)
 	}
-	waitDaemonMetric(t, dA2, "cpackd_cache_entries", 1)
-
-	// The repaired copy is real: with the replica gone too, the restarted
-	// primary serves d2 from the repair — byte-identical, no recompression.
-	if err := dB.cmd.Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	dB.cmd.Wait()
-	onA := dA2.compressAsm(t, asm2)
-	if !onA.Cached {
-		t.Error("restarted primary recompressed a digest read-repair delivered")
-	}
-	if onA.Digest != second.Digest || onA.CompressedB64 != second.CompressedB64 {
-		t.Error("repaired entry differs from the replica's compression")
+	if got := metricNumber(t, dA2.metrics(t), `cpackd_requests_total{endpoint="peer_get",code="404"}`); got != 1 {
+		t.Errorf("clean 404s served by the restarted primary = %v, want 1", got)
 	}
 }
 

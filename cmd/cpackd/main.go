@@ -19,15 +19,14 @@
 // owning instances (successor-list placement; default 1), cache misses
 // walk the replica set in order before compressing locally, and new
 // entries replicate asynchronously to every owner. Fetches fall through
-// to the next replica when one is down or serves a bad payload, pushes
-// to unreachable members are buffered as hinted handoff and drained
-// when the member returns, and a replica that missed an entry is
-// repaired from the verified copy on the next read. -peers is a seed
-// list, not a frozen topology: membership is gossiped, instances can
-// join a running cluster, failed members age out of the ring, and a
-// graceful shutdown hands its entries to their new owners. Peer
-// failures degrade to local compression (circuit breaker, never a
-// failed request); peer-served bytes are re-verified before trusted.
+// to the next replica when one is down or serves a bad payload. -peers
+// is a seed list, not a frozen topology: membership is gossiped,
+// instances can join a running cluster, failed members age out of the
+// ring, every ring change re-offers held entries to their current
+// owners (anti-entropy), and a graceful shutdown hands its entries to
+// their new owners. Peer failures degrade to local compression (circuit
+// breaker, never a failed request); peer-served bytes are re-verified
+// before trusted.
 //
 // With -tenants set, every public endpoint authenticates a per-tenant
 // API key, enforces per-tenant rate limits and rolling byte quotas, and

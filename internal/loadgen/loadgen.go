@@ -28,8 +28,7 @@
 //     quantiles and server-side /metrics deltas — as schema-stable JSON
 //     that feeds the repo's BENCH_<n>.json trajectory.
 //
-// cmd/cpackbench is the CLI front end; examples/loadgen is a thin shim
-// kept for backward compatibility.
+// cmd/cpackbench is the CLI front end.
 package loadgen
 
 import (

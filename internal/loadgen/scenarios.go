@@ -232,7 +232,7 @@ func (churn) Name() string { return "churn" }
 func (s churn) Describe() string {
 	return fmt.Sprintf("one warm pass over a %d-program working set, then uniform repeats: "+
 		"against a replicated cluster under member churn, the warm-hit ratio is the proof "+
-		"that failover, handoff and read-repair keep the tier serving without recompression", s.corpus)
+		"that the replica walk and anti-entropy keep the tier serving without recompression", s.corpus)
 }
 
 func (s churn) Requests(seed int64) iter.Seq[Request] {

@@ -105,24 +105,13 @@ const (
 // next. verify (nil = accept) must be a pure check — Fetch itself
 // charges a failed verification to the replica's breaker.
 //
-// On a verified hit, Fetch read-repairs: every replica that answered a
-// definitive 404 during the walk is re-offered the entry through the
-// replication queue. It returns the payload (FetchHit only), the
-// serving replica's URL, and the outcome; FetchSelf means the replica
-// set holds no one but this instance. When this instance is itself one
-// of the replicas, a hit also counts one read-repair for the local
-// install the caller performs.
+// It returns the payload (FetchHit only), the serving replica's URL,
+// and the outcome; FetchSelf means the replica set holds no one but
+// this instance. A replica that lacks the entry is not repaired here:
+// the entry is recomputable, and anti-entropy re-offers it on the next
+// ring change.
 func (c *Cluster) Fetch(ctx context.Context, digest string, verify func(owner string, payload []byte) bool) ([]byte, string, FetchOutcome) {
-	owners := c.Owners(digest)
-	selfOwner := false
-	remote := make([]string, 0, len(owners))
-	for _, o := range owners {
-		if o == c.self {
-			selfOwner = true
-		} else {
-			remote = append(remote, o)
-		}
-	}
+	remote := c.remoteOwners(digest)
 	if len(remote) == 0 {
 		return nil, "", FetchSelf
 	}
@@ -132,7 +121,7 @@ func (c *Cluster) Fetch(ctx context.Context, digest string, verify func(owner st
 		trace.Int("replicas", len(remote)))
 	defer fs.End()
 
-	var missed []string // replicas that answered a clean 404
+	missed := "" // first replica that answered a clean 404
 	for ri, owner := range remote {
 		b := c.breakerFor(owner)
 		rctx, rs := trace.Start(ctx, "peer-replica",
@@ -157,23 +146,22 @@ func (c *Cluster) Fetch(ctx context.Context, digest string, verify func(owner st
 				c.stats.replicaFallthroughs.Add(1)
 			}
 			fs.SetAttr("outcome", "hit")
-			c.readRepair(ctx, digest, payload, missed, selfOwner)
 			return payload, owner, FetchHit
 		}
-		if outcome == "miss" {
-			missed = append(missed, owner)
+		if outcome == "miss" && missed == "" {
+			missed = owner
 		}
 		if outcome == "canceled" {
 			fs.SetAttr("outcome", "canceled")
 			return nil, owner, FetchUnavailable
 		}
 	}
-	if len(missed) > 0 {
+	if missed != "" {
 		// Every reachable replica answered definitively: the entry is not
 		// in the warm tier. (Unreachable replicas may still hold it, but
 		// the caller should compress rather than wait for them.)
 		fs.SetAttr("outcome", "miss")
-		return nil, missed[0], FetchMiss
+		return nil, missed, FetchMiss
 	}
 	fs.SetAttr("outcome", "unavailable")
 	return nil, remote[0], FetchUnavailable
@@ -223,36 +211,6 @@ func (c *Cluster) fetchReplica(ctx context.Context, owner, digest string, b *bre
 		return payload, true, "hit"
 	}
 	return nil, false, "unavailable"
-}
-
-// readRepair re-offers a verified entry to the replicas that missed it
-// during a fetch walk, through the replication queue pinned to each
-// lagging member — convergence without waiting for an anti-entropy
-// pass. selfInstall additionally counts the caller's own install when
-// this instance is part of the replica set.
-func (c *Cluster) readRepair(ctx context.Context, digest string, payload []byte, missed []string, selfInstall bool) {
-	if selfInstall {
-		c.stats.readRepairs.Add(1)
-	}
-	if len(missed) == 0 {
-		return
-	}
-	for _, owner := range missed {
-		j := replJob{
-			digest:     digest,
-			payload:    payload,
-			targets:    []string{owner},
-			traceID:    trace.ID(ctx),
-			parentSpan: trace.SpanFromContext(ctx).SpanID(),
-			enqueued:   time.Now(),
-		}
-		if c.tryEnqueue(j) {
-			c.stats.readRepairs.Add(1)
-			c.stats.replEnqueued.Add(1)
-		} else {
-			c.stats.replDropped.Add(1)
-		}
-	}
 }
 
 // fetchOnce is one GET against the owner. found=false reports a clean
@@ -306,14 +264,7 @@ func (c *Cluster) fetchOnce(ctx context.Context, owner, digest string) (payload 
 func (c *Cluster) Replicate(ctx context.Context, digest string, payload []byte) {
 	_, es := trace.Start(ctx, "repl-enqueue", trace.String("digest", shortDigest(digest)))
 	defer es.End()
-	hasRemote := false
-	for _, o := range c.Owners(digest) {
-		if o != c.self {
-			hasRemote = true
-			break
-		}
-	}
-	if !hasRemote {
+	if len(c.remoteOwners(digest)) == 0 {
 		es.SetAttr("outcome", "self")
 		return
 	}
@@ -341,16 +292,7 @@ func (c *Cluster) replWorker() {
 			c.qtimes = append(c.qtimes[:0], c.qtimes[1:]...)
 		}
 		c.qmu.Unlock()
-		targets := j.targets
-		if targets == nil {
-			// A ring-resolved job: push to every remote member of the
-			// digest's current replica set.
-			for _, o := range c.Owners(j.digest) {
-				if o != c.self {
-					targets = append(targets, o)
-				}
-			}
-		}
+		targets := c.remoteOwners(j.digest)
 		if len(targets) == 0 {
 			continue // ownership moved entirely to us while the job was queued
 		}
@@ -377,34 +319,11 @@ func (c *Cluster) replWorker() {
 				root.SetAttr("err", err.Error())
 				c.log.Debug("replication push failed",
 					"peer", owner, "digest", j.digest, "err", err)
-				c.maybeHint(j, owner)
 			} else {
 				c.stats.replSent.Add(1)
-				if j.fromHint {
-					c.stats.handoffDrained.Add(1)
-				}
 			}
 		}
 		root.End()
-	}
-}
-
-// maybeHint buffers a failed push as a handoff hint when the target is
-// still in the ring (alive but flaky, or suspect): the entry will be
-// re-pushed when the member proves healthy. A target already declared
-// dead or left gets no hint — reassignment handles its backlog — and a
-// failed drain re-buffers without recounting.
-func (c *Cluster) maybeHint(j replJob, owner string) {
-	st, known := c.members.State(owner)
-	if !known || !st.inRing() {
-		return
-	}
-	evicted := c.hints.add(HandoffRecord{Target: owner, Digest: j.digest, Payload: j.payload})
-	if evicted > 0 {
-		c.stats.handoffDropped.Add(uint64(evicted))
-	}
-	if !j.fromHint {
-		c.stats.handoffHinted.Add(1)
 	}
 }
 

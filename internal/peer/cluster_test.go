@@ -509,8 +509,7 @@ func TestReplicateFansOutToAllReplicas(t *testing.T) {
 }
 
 // TestFetchFallsThroughToSecondReplica: replica 1 lacks the entry,
-// replica 2 serves it; the walk counts a fallthrough and read-repairs
-// the lagging replica without an anti-entropy pass.
+// replica 2 serves it; the walk counts a fallthrough.
 func TestFetchFallsThroughToSecondReplica(t *testing.T) {
 	srcA, srcB := newMemSource(), newMemSource()
 	tsA := httptest.NewServer(mountHandler(NewHandler(srcA, quiet())))
@@ -521,33 +520,37 @@ func TestFetchFallsThroughToSecondReplica(t *testing.T) {
 
 	payload := []byte("replica-2-payload")
 	d := digestOwnedByBoth(t, c, tsA.URL, tsB.URL, "fall")
-	primary, secondary := srcA, srcB
-	secondary.Accept(d, payload)
+	srcB.Accept(d, payload)
 
-	got, _, out := c.Fetch(context.Background(), d, nil)
-	if out != FetchHit || !bytes.Equal(got, payload) {
-		t.Fatalf("Fetch = (%q, %d), want hit from the second replica", got, out)
+	got, owner, out := c.Fetch(context.Background(), d, nil)
+	if out != FetchHit || !bytes.Equal(got, payload) || owner != tsB.URL {
+		t.Fatalf("Fetch = (%q, %s, %d), want hit from the second replica", got, owner, out)
 	}
 	st := c.Stats()
 	if st.ReplicaFallthroughs != 1 {
 		t.Errorf("fallthroughs = %d, want 1", st.ReplicaFallthroughs)
 	}
-	if st.ReadRepairs != 1 {
-		t.Errorf("read repairs = %d, want 1", st.ReadRepairs)
+	if st.FetchMisses != 1 {
+		t.Errorf("misses = %d, want 1 (the primary's 404)", st.FetchMisses)
 	}
-	// The lagging primary converges via the repair push.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if p, ok := primary.Payload(d); ok {
-			if !bytes.Equal(p, payload) {
-				t.Fatal("read-repaired payload corrupted")
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("read repair never reached the lagging replica")
-		}
-		time.Sleep(5 * time.Millisecond)
+}
+
+// TestFetchMissWhenReachableReplicaAnswers404: a walk where one replica
+// answers a clean 404 and the other cannot be reached is a definitive
+// miss, attributed to the replica that answered — the caller compresses
+// instead of treating the tier as down.
+func TestFetchMissWhenReachableReplicaAnswers404(t *testing.T) {
+	tsA := httptest.NewServer(http.NotFoundHandler())
+	defer tsA.Close()
+	tsB := httptest.NewServer(http.NotFoundHandler())
+	urlB := tsB.URL
+	tsB.Close() // replica 2 refuses connections
+	c := newReplicatedCluster(t, tsA.URL, urlB, nil)
+
+	d := digestOwnedByBoth(t, c, urlB, tsA.URL, "miss")
+	got, owner, out := c.Fetch(context.Background(), d, nil)
+	if out != FetchMiss || got != nil || owner != tsA.URL {
+		t.Fatalf("Fetch = (%q, %s, %d), want FetchMiss from %s", got, owner, out, tsA.URL)
 	}
 }
 
@@ -586,86 +589,6 @@ func TestFetchVerifyFailureFallsThrough(t *testing.T) {
 	}
 	if st.ReplicaFallthroughs != 1 {
 		t.Errorf("fallthroughs = %d, want 1", st.ReplicaFallthroughs)
-	}
-}
-
-// TestHandoffHintAndDrain drives the full hint lifecycle: pushes to a
-// downed replica are buffered as hints (the member is suspect, not
-// dead), and when the member proves alive again the hints drain and the
-// entry is delivered.
-func TestHandoffHintAndDrain(t *testing.T) {
-	srcA, srcB := newMemSource(), newMemSource()
-	innerA := mountHandler(NewHandler(srcA, quiet()))
-	var downA atomic.Bool
-	tsA := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if downA.Load() {
-			conn, _, err := w.(http.Hijacker).Hijack()
-			if err == nil {
-				conn.Close()
-			}
-			return
-		}
-		innerA.ServeHTTP(w, r)
-	}))
-	defer tsA.Close()
-	tsB := httptest.NewServer(mountHandler(NewHandler(srcB, quiet())))
-	defer tsB.Close()
-	c := newReplicatedCluster(t, tsA.URL, tsB.URL, func(cfg *Config) {
-		cfg.BreakerThreshold = 1
-		cfg.BreakerCooldown = 20 * time.Millisecond
-	})
-
-	payload := []byte("hinted-payload")
-	d := digestOwnedByBoth(t, c, tsA.URL, tsB.URL, "hint")
-
-	downA.Store(true)
-	c.Replicate(context.Background(), d, payload)
-
-	// B gets its copy; A's push fails and is hinted (the breaker opening
-	// marked A suspect, so it is still in the ring).
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := c.Stats()
-		if _, ok := srcB.Payload(d); ok && st.HandoffHinted >= 1 && st.HandoffPending >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("hint never buffered: stats %+v", c.Stats())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if st, _ := c.members.State(tsA.URL); st != StateSuspect {
-		t.Fatalf("downed replica state = %v, want suspect", st)
-	}
-
-	// A comes back; a successful exchange flips it suspect -> alive,
-	// which fires the drain.
-	downA.Store(false)
-	deadline = time.Now().Add(10 * time.Second)
-	for {
-		// Any successful contact (here: a fetch walk that reaches A once
-		// the breaker cools down) re-observes it alive.
-		c.Fetch(context.Background(), d, nil)
-		if p, ok := srcA.Payload(d); ok {
-			if !bytes.Equal(p, payload) {
-				t.Fatal("drained payload corrupted")
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("hint never drained: stats %+v", c.Stats())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	deadline = time.Now().Add(5 * time.Second)
-	for c.Stats().HandoffDrained == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("drain not counted: stats %+v", c.Stats())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if n, _ := c.hints.pending(); n != 0 {
-		t.Errorf("hints still pending after drain: %d", n)
 	}
 }
 

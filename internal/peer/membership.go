@@ -108,13 +108,6 @@ type MembershipConfig struct {
 	ReapAfter time.Duration
 	// Now is the clock (nil = time.Now).
 	Now func() time.Time
-	// OnStateChange, when set, is called after a member (never self)
-	// transitions to a new lifecycle state — including first sight of a
-	// member. It fires outside the membership lock, so callbacks may call
-	// back into Membership; ordering across concurrent transitions is not
-	// guaranteed. The cluster uses it to drain or reassign hinted
-	// handoffs.
-	OnStateChange func(url string, to MemberState)
 }
 
 func (c MembershipConfig) withDefaults() MembershipConfig {
@@ -131,23 +124,6 @@ func (c MembershipConfig) withDefaults() MembershipConfig {
 		c.Now = time.Now
 	}
 	return c
-}
-
-// stateChange is one member transition collected under the lock and
-// delivered to OnStateChange after unlock.
-type stateChange struct {
-	url string
-	to  MemberState
-}
-
-// notify delivers collected transitions; call with the lock released.
-func (m *Membership) notify(changes []stateChange) {
-	if m.cfg.OnStateChange == nil {
-		return
-	}
-	for _, c := range changes {
-		m.cfg.OnStateChange(c.url, c.to)
-	}
 }
 
 // memberRecord is one member's live state plus failure-detector
@@ -289,8 +265,8 @@ func (m *Membership) State(url string) (MemberState, bool) {
 // older" is refuted by bumping the local generation past it — a
 // rejoining member supersedes its own tombstone this way.
 func (m *Membership) Merge(infos []MemberInfo) (changed bool) {
-	var transitions []stateChange
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	for _, in := range infos {
 		if in.URL == "" {
 			continue
@@ -307,26 +283,22 @@ func (m *Membership) Merge(infos []MemberInfo) (changed bool) {
 			}
 			continue
 		}
-		if m.applyLocked(in, &transitions) {
+		if m.applyLocked(in) {
 			changed = true
 		}
 	}
 	if changed {
 		m.version++
 	}
-	m.mu.Unlock()
-	m.notify(transitions)
 	return changed
 }
 
-// applyLocked merges one remote record; reports a ring-set change and
-// appends any lifecycle transition to transitions.
-func (m *Membership) applyLocked(in MemberInfo, transitions *[]stateChange) bool {
+// applyLocked merges one remote record and reports a ring-set change.
+func (m *Membership) applyLocked(in MemberInfo) bool {
 	now := m.cfg.Now()
 	rec, ok := m.members[in.URL]
 	if !ok {
 		m.members[in.URL] = &memberRecord{info: in, lastHeard: now, since: now}
-		*transitions = append(*transitions, stateChange{in.URL, in.State})
 		return in.State.inRing()
 	}
 	if !in.supersedes(rec.info) {
@@ -338,9 +310,6 @@ func (m *Membership) applyLocked(in MemberInfo, transitions *[]stateChange) bool
 		return false
 	}
 	wasRing := rec.info.State.inRing()
-	if rec.info.State != in.State {
-		*transitions = append(*transitions, stateChange{in.URL, in.State})
-	}
 	rec.info = in
 	rec.since = now
 	if in.State == StateAlive {
@@ -353,21 +322,17 @@ func (m *Membership) applyLocked(in MemberInfo, transitions *[]stateChange) bool
 // answered) — the failure detector's last-heard clock resets, and a
 // suspect is re-admitted as alive.
 func (m *Membership) ObserveAlive(url string) {
-	var transitions []stateChange
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	rec, ok := m.members[url]
 	if !ok || !rec.info.State.inRing() {
-		m.mu.Unlock()
 		return // dead members only come back by incarnation, via Merge
 	}
 	rec.lastHeard = m.cfg.Now()
 	if rec.info.State == StateSuspect {
 		rec.info.State = StateAlive
 		rec.since = rec.lastHeard
-		transitions = append(transitions, stateChange{url, StateAlive})
 	}
-	m.mu.Unlock()
-	m.notify(transitions)
 }
 
 // ObserveSuspect accelerates suspicion on direct evidence of trouble —
@@ -375,9 +340,9 @@ func (m *Membership) ObserveAlive(url string) {
 // (it may just be slow); only the dead timeout removes it.
 func (m *Membership) ObserveSuspect(url string) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	rec, ok := m.members[url]
 	if !ok || rec.info.State != StateAlive {
-		m.mu.Unlock()
 		return
 	}
 	now := m.cfg.Now()
@@ -388,16 +353,14 @@ func (m *Membership) ObserveSuspect(url string) {
 	}
 	rec.info.State = StateSuspect
 	rec.since = now
-	m.mu.Unlock()
-	m.notify([]stateChange{{url, StateSuspect}})
 }
 
 // Tick advances the failure detector: unheard alives become suspect,
 // overdue suspects become dead (a ring change), and stale tombstones
 // are reaped. Returns whether the ring membership changed.
 func (m *Membership) Tick() (changed bool) {
-	var transitions []stateChange
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	now := m.cfg.Now()
 	for url, rec := range m.members {
 		silent := now.Sub(rec.lastHeard)
@@ -406,7 +369,6 @@ func (m *Membership) Tick() (changed bool) {
 			if silent >= m.cfg.SuspectAfter {
 				rec.info.State = StateSuspect
 				rec.since = now
-				transitions = append(transitions, stateChange{url, StateSuspect})
 			}
 		case StateSuspect:
 			if silent >= m.cfg.DeadAfter {
@@ -414,7 +376,6 @@ func (m *Membership) Tick() (changed bool) {
 				// precedence; only a fresh incarnation revives the member.
 				rec.info.State = StateDead
 				rec.since = now
-				transitions = append(transitions, stateChange{url, StateDead})
 				changed = true
 			}
 		case StateDead, StateLeft:
@@ -426,8 +387,6 @@ func (m *Membership) Tick() (changed bool) {
 	if changed {
 		m.version++
 	}
-	m.mu.Unlock()
-	m.notify(transitions)
 	return changed
 }
 

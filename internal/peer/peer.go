@@ -224,12 +224,10 @@ type Cluster struct {
 
 	// sendMu fences the replication queue: enqueues hold it shared,
 	// Close takes it exclusively to mark the queue closed before closing
-	// the channel — membership callbacks (hint drains) can fire from
-	// in-flight worker pushes even while Close drains the queue.
+	// the channel — the server closes the cluster before its worker
+	// pools, so a fill finishing mid-shutdown can still call Replicate.
 	sendMu sync.RWMutex
 	closed bool
-
-	hints *hintBuffer
 
 	// qmu guards qtimes, a FIFO of enqueue timestamps mirroring replCh;
 	// its head is the age of the oldest job still waiting for a worker.
@@ -239,18 +237,12 @@ type Cluster struct {
 	stats clusterStats
 }
 
+// replJob is one queued write replication. Its targets are the
+// digest's remote owners, resolved at dequeue, so a job honors ring
+// changes that happen while it waits.
 type replJob struct {
 	digest  string
 	payload []byte
-
-	// targets pins the job to explicit members (hint drains and
-	// read-repair re-offers). nil means "the digest's remote owners,
-	// resolved at dequeue" — the normal write-replication path, which
-	// honors ring changes that happen while the job is queued.
-	targets []string
-	// fromHint marks a drained handoff hint: a successful push counts as
-	// a drain, a failed one re-buffers without recounting.
-	fromHint bool
 
 	// Trace lineage of the originating request, so the async push can
 	// open a background trace stitched to it.
@@ -279,11 +271,6 @@ type clusterStats struct {
 	heartbeatFails atomic.Uint64
 
 	replicaFallthroughs atomic.Uint64
-	readRepairs         atomic.Uint64
-	handoffHinted       atomic.Uint64
-	handoffDrained      atomic.Uint64
-	handoffReassigned   atomic.Uint64
-	handoffDropped      atomic.Uint64
 }
 
 // Stats is a point-in-time snapshot of the cluster counters.
@@ -306,13 +293,6 @@ type Stats struct {
 	HeartbeatFailures uint64 `json:"heartbeat_failures"`
 
 	ReplicaFallthroughs uint64 `json:"replica_fallthroughs"`
-	ReadRepairs         uint64 `json:"read_repairs"`
-	HandoffHinted       uint64 `json:"handoff_hinted"`
-	HandoffDrained      uint64 `json:"handoff_drained"`
-	HandoffReassigned   uint64 `json:"handoff_reassigned"`
-	HandoffDropped      uint64 `json:"handoff_dropped"`
-	HandoffPending      int    `json:"handoff_pending"`
-	HandoffPendingBytes int    `json:"handoff_pending_bytes"`
 }
 
 // NewCluster validates the seed list, builds the initial ring over it
@@ -337,21 +317,15 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("peer: need at least one seed peer besides Self")
 	}
-	var c *Cluster
 	members := NewMembership(cfg.Self, MembershipConfig{
 		SuspectAfter: cfg.SuspectAfter,
 		DeadAfter:    cfg.DeadAfter,
 		ReapAfter:    cfg.ReapAfter,
-		// The callback captures c before it is assigned; membership only
-		// fires transitions from gossip and ticks, which start below.
-		OnStateChange: func(url string, to MemberState) {
-			c.onMemberStateChange(url, to)
-		},
 	})
 	for _, s := range seeds {
 		members.AddSeed(s)
 	}
-	c = &Cluster{
+	c := &Cluster{
 		cfg:      cfg,
 		self:     cfg.Self,
 		seeds:    seeds,
@@ -362,7 +336,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		replCh:   make(chan replJob, cfg.ReplicationQueue),
 		stopCh:   make(chan struct{}),
 		memDone:  make(chan struct{}),
-		hints:    newHintBuffer(defaultHandoffMaxRecords, defaultHandoffMaxBytes),
 	}
 	c.ring.Store(NewRing(members.Live(), cfg.Replicas))
 	c.replWG.Add(cfg.ReplicationWorkers)
@@ -383,6 +356,17 @@ func (c *Cluster) Owner(digest string) string { return c.ring.Load().Owner(diges
 // ReplicationFactor distinct members on the ring's successor list.
 func (c *Cluster) Owners(digest string) []string {
 	return c.ring.Load().Owners(digest, c.cfg.ReplicationFactor)
+}
+
+// remoteOwners is Owners without this instance, in placement order.
+func (c *Cluster) remoteOwners(digest string) []string {
+	var remote []string
+	for _, o := range c.Owners(digest) {
+		if o != c.self {
+			remote = append(remote, o)
+		}
+	}
+	return remote
 }
 
 // ReplicationFactor returns the configured replica count per digest.
@@ -428,26 +412,9 @@ func (c *Cluster) noteFailure(url string, b *breaker) {
 	}
 }
 
-// onMemberStateChange reacts to membership transitions for the hinted
-// handoff buffer: a member back alive (refuted suspicion or rejoined)
-// gets its buffered hints drained; one declared dead or left has them
-// reassigned to the digests' surviving owners. Fired outside the
-// membership lock.
-func (c *Cluster) onMemberStateChange(url string, to MemberState) {
-	if c == nil || url == c.self {
-		return
-	}
-	switch to {
-	case StateAlive:
-		c.drainHints(url)
-	case StateDead, StateLeft:
-		c.reassignHints(url)
-	}
-}
-
 // tryEnqueue is the single entry into the replication queue: a
-// non-blocking send, refused once Close has begun so late membership
-// callbacks can never hit a closed channel.
+// non-blocking send, refused once Close has begun so a late Replicate
+// can never hit a closed channel.
 func (c *Cluster) tryEnqueue(j replJob) bool {
 	c.sendMu.RLock()
 	defer c.sendMu.RUnlock()
@@ -462,59 +429,6 @@ func (c *Cluster) tryEnqueue(j replJob) bool {
 		return true
 	default:
 		return false
-	}
-}
-
-// drainHints re-enqueues every hint buffered for target as a pinned
-// replication job. Called when the target transitions back to alive and
-// opportunistically each heartbeat round while it stays healthy; a hint
-// that cannot be enqueued (full queue, shutdown) goes back in the
-// buffer for the next round.
-func (c *Cluster) drainHints(target string) {
-	recs := c.hints.take(target)
-	if len(recs) == 0 {
-		return
-	}
-	requeued := 0
-	for _, rec := range recs {
-		j := replJob{
-			digest:   rec.Digest,
-			payload:  rec.Payload,
-			targets:  []string{rec.Target},
-			fromHint: true,
-			enqueued: time.Now(),
-		}
-		if c.tryEnqueue(j) {
-			requeued++
-		} else {
-			c.hints.add(rec)
-		}
-	}
-	if requeued > 0 {
-		c.log.Info("draining handoff hints", "target", target, "hints", requeued)
-	}
-}
-
-// reassignHints redirects the hints of a dead or departed member to the
-// digests' current owners: the pinned target is dropped and the job
-// re-resolves its owner set at dequeue, exactly like a fresh write.
-func (c *Cluster) reassignHints(target string) {
-	recs := c.hints.take(target)
-	for _, rec := range recs {
-		j := replJob{
-			digest:   rec.Digest,
-			payload:  rec.Payload,
-			enqueued: time.Now(),
-		}
-		if c.tryEnqueue(j) {
-			c.stats.handoffReassigned.Add(1)
-		} else {
-			c.stats.handoffDropped.Add(1)
-		}
-	}
-	if len(recs) > 0 {
-		c.log.Info("reassigned handoff hints from departed member",
-			"target", target, "hints", len(recs))
 	}
 }
 
@@ -606,16 +520,6 @@ func (c *Cluster) heartbeatRound(ctx context.Context) {
 			c.log.Debug("reconnection probe failed", "peer", probe, "err", err)
 		}
 	}
-	// Opportunistic hint drain: a hinted target that is alive with a
-	// closed breaker takes its buffered hints even without a state
-	// transition (covers hints buffered on transient push failures and
-	// drains the transition round could not enqueue).
-	for _, target := range c.hints.targets() {
-		if st, ok := c.members.State(target); ok && st == StateAlive &&
-			c.breakerFor(target).snapshot().State == "closed" {
-			c.drainHints(target)
-		}
-	}
 	c.refreshRing()
 }
 
@@ -664,17 +568,7 @@ func (c *Cluster) Close() {
 
 // Stats returns a snapshot of the cluster counters.
 func (c *Cluster) Stats() Stats {
-	pending, pendingBytes := c.hints.pending()
 	return Stats{
-		ReplicaFallthroughs: c.stats.replicaFallthroughs.Load(),
-		ReadRepairs:         c.stats.readRepairs.Load(),
-		HandoffHinted:       c.stats.handoffHinted.Load(),
-		HandoffDrained:      c.stats.handoffDrained.Load(),
-		HandoffReassigned:   c.stats.handoffReassigned.Load(),
-		HandoffDropped:      c.stats.handoffDropped.Load(),
-		HandoffPending:      pending,
-		HandoffPendingBytes: pendingBytes,
-
 		FetchHits:            c.stats.fetchHits.Load(),
 		FetchMisses:          c.stats.fetchMisses.Load(),
 		FetchErrors:          c.stats.fetchErrors.Load(),
@@ -688,6 +582,7 @@ func (c *Cluster) Stats() Stats {
 		RingChanges:          c.stats.ringChanges.Load(),
 		Heartbeats:           c.stats.heartbeats.Load(),
 		HeartbeatFailures:    c.stats.heartbeatFails.Load(),
+		ReplicaFallthroughs:  c.stats.replicaFallthroughs.Load(),
 	}
 }
 

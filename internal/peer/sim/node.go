@@ -30,7 +30,6 @@ type node struct {
 	ringVer uint64
 	cache   map[string]entry
 	durable map[string][]byte
-	hints   map[string]map[string][]byte // target -> digest -> payload
 
 	stats NodeStats
 }
@@ -54,15 +53,6 @@ type NodeStats struct {
 	// ReplicaFallthroughs counts fetches served by a replica after an
 	// earlier one in placement order failed or missed.
 	ReplicaFallthroughs int
-	// ReadRepairs counts repair pushes to replicas that answered a
-	// clean miss while a later replica held the verified entry.
-	ReadRepairs int
-	// HandoffHinted / HandoffDrained / HandoffReassigned count hinted-
-	// handoff records buffered for an unreachable member, delivered to
-	// it, and re-replicated after it was declared dead.
-	HandoffHinted     int
-	HandoffDrained    int
-	HandoffReassigned int
 }
 
 // gossipMsg mirrors peer.MembershipMsg for the in-memory transport.
@@ -91,7 +81,6 @@ func (n *node) start() {
 		n.mem.AddSeed(s)
 	}
 	n.ringVer = 0
-	n.hints = make(map[string]map[string][]byte)
 	n.cache = make(map[string]entry, len(n.durable))
 	for d, p := range n.durable {
 		n.cache[d] = entry{payload: p, verified: true}
@@ -110,7 +99,6 @@ func (n *node) crash() {
 	n.up = false
 	n.incarn++
 	n.cache = nil
-	n.hints = nil
 }
 
 func (n *node) scheduleTick() {
@@ -131,7 +119,6 @@ func (n *node) scheduleTick() {
 func (n *node) tick() {
 	n.mem.Tick()
 	n.checkRing()
-	n.tickHints()
 	var peers []string
 	for _, m := range n.mem.Live() {
 		if m != n.url {
@@ -243,7 +230,7 @@ func (n *node) runAE() {
 				}
 				for _, d := range resp.([]string) {
 					if e, held := n.cache[d]; held {
-						n.sendPut(target, d, e.payload, nil)
+						n.sendPut(target, d, e.payload)
 					}
 				}
 			})
@@ -262,94 +249,13 @@ func (n *node) handleOffer(digests []string) []string {
 }
 
 // sendPut replicates one payload over the faulty transport (async
-// best-effort, like the replication queue). onDone, if non-nil, fires
-// with whether a response made it back.
-func (n *node) sendPut(target, digest string, payload []byte, onDone func(ok bool)) {
+// best-effort, like the replication queue): an unanswered push is not
+// retried — anti-entropy on the next ring change closes the gap.
+func (n *node) sendPut(target, digest string, payload []byte) {
 	n.stats.ReplicationsSent++
-	incarn := n.incarn
 	n.w.rpc(n.url, target,
 		func(tn *node) any { tn.handlePut(digest, payload); return true },
-		func(_ any, ok bool) {
-			if onDone != nil && n.up && n.incarn == incarn {
-				onDone(ok)
-			}
-		})
-}
-
-// replicate pushes one payload to target and buffers a hint when the
-// push goes unanswered, mirroring the replication queue's maybeHint.
-func (n *node) replicate(target, digest string, payload []byte) {
-	n.sendPut(target, digest, payload, func(ok bool) {
-		if !ok {
-			n.addHint(target, digest, payload, true)
-		}
-	})
-}
-
-// addHint buffers a payload for an unreachable member that is still in
-// the ring (alive or suspect); pushes to members already declared dead
-// are not worth buffering — the ring has moved on. count is false when
-// re-buffering a failed drain, so a record is only counted hinted once.
-func (n *node) addHint(target, digest string, payload []byte, count bool) {
-	if s, ok := n.mem.State(target); !ok || !stateInRing(s) {
-		return
-	}
-	if n.hints[target] == nil {
-		n.hints[target] = make(map[string][]byte)
-	}
-	if _, dup := n.hints[target][digest]; !dup && count {
-		n.stats.HandoffHinted++
-		n.w.logf("hint %s -> %s %s", n.url, target, digest)
-	}
-	n.hints[target][digest] = payload
-}
-
-// tickHints is the per-heartbeat hint maintenance, mirroring the live
-// cluster: buffered records drain to targets currently alive, and
-// records for members declared dead (or departed) are reassigned to the
-// digest's current replica set.
-func (n *node) tickHints() {
-	targets := make([]string, 0, len(n.hints))
-	for tgt := range n.hints {
-		targets = append(targets, tgt)
-	}
-	sort.Strings(targets)
-	for _, tgt := range targets {
-		st, known := n.mem.State(tgt)
-		recs := n.hints[tgt]
-		var digests []string
-		for d := range recs {
-			digests = append(digests, d)
-		}
-		sort.Strings(digests)
-		switch {
-		case known && st == peer.StateAlive:
-			delete(n.hints, tgt)
-			for _, d := range digests {
-				d, payload, target := d, recs[d], tgt
-				n.sendPut(target, d, payload, func(ok bool) {
-					if !ok {
-						n.addHint(target, d, payload, false)
-						return
-					}
-					n.stats.HandoffDrained++
-					n.w.logf("drain %s -> %s %s", n.url, target, d)
-				})
-			}
-		case !known || !stateInRing(st):
-			delete(n.hints, tgt)
-			for _, d := range digests {
-				n.stats.HandoffReassigned++
-				n.w.logf("reassign %s %s (was %s)", n.url, d, tgt)
-				for _, o := range n.ring.Owners(d, n.w.cfg.ReplicationFactor) {
-					if o != n.url && o != tgt {
-						n.replicate(o, d, recs[d])
-					}
-				}
-			}
-		}
-		// Suspect targets: hold the hints until refutation or death.
-	}
+		func(any, bool) {})
 }
 
 // handlePut quarantines a replicated payload: stored unverified, and
@@ -365,9 +271,8 @@ func (n *node) handlePut(digest string, payload []byte) {
 // compress is the client-facing tiered lookup, mirroring
 // Server.compressImage/fillMiss: verified local entry, quarantined
 // entry proven against the program (confirm or drop), then a walk of
-// the digest's replica set in placement order with verify-before-trust
-// and read-repair, then local compression + async replication to every
-// remote owner.
+// the digest's replica set in placement order with verify-before-trust,
+// then local compression + async replication to every remote owner.
 func (n *node) compress(digest string) {
 	truth := canonical(digest)
 	if e, ok := n.cache[digest]; ok {
@@ -390,15 +295,10 @@ func (n *node) compress(digest string) {
 			remote = append(remote, o)
 		}
 	}
-	var missed []string
 	for ri, o := range remote {
 		payload, found, reachable := n.w.syncFetch(n.url, o, digest)
-		if !reachable {
-			continue // down, partitioned or dropped: walk on
-		}
-		if !found {
-			missed = append(missed, o) // clean miss: a read-repair target
-			continue
+		if !reachable || !found {
+			continue // down, partitioned, dropped or a clean miss: walk on
 		}
 		if !bytes.Equal(payload, truth) {
 			continue // wrong payload: never trusted, walk on
@@ -411,14 +311,6 @@ func (n *node) compress(digest string) {
 		n.cache[digest] = e
 		n.durable[digest] = payload
 		n.serve(digest, e)
-		// Read-repair: re-offer the verified entry to every replica that
-		// answered a clean miss (the fetcher's own install covers itself
-		// when it is in the replica set).
-		for _, m := range missed {
-			n.stats.ReadRepairs++
-			n.w.logf("readrepair %s -> %s %s", n.url, m, digest)
-			n.replicate(m, digest, payload)
-		}
 		return
 	}
 	n.w.stats.Recompressions++
@@ -428,7 +320,7 @@ func (n *node) compress(digest string) {
 	n.durable[digest] = truth
 	n.serve(digest, e)
 	for _, o := range remote {
-		n.replicate(o, digest, truth)
+		n.sendPut(o, digest, truth)
 	}
 }
 
@@ -445,8 +337,7 @@ func (n *node) serve(digest string, e entry) {
 
 // syncFetch models the synchronous replica GET on the request path.
 // reachable is false when the replica is down, partitioned away, or a
-// drop is rolled; found distinguishes a clean 404 (a read-repair
-// candidate) from a served payload. A replica serves whatever it holds,
+// drop is rolled; found distinguishes a clean 404 from a served payload. A replica serves whatever it holds,
 // verified or not — the fetcher's verification is the trust boundary,
 // as in the real handler.
 func (w *World) syncFetch(from, to, digest string) (payload []byte, found, reachable bool) {

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"codepack/internal/peer"
 )
 
 // The three pinned fault schedules below (partition, crash/restart,
@@ -233,21 +231,6 @@ func TestSimImpostorNeverServesUnverified(t *testing.T) {
 	}
 }
 
-// ownedBy filters digests to those whose replica set (at ring) includes
-// member.
-func ownedBy(w *World, ring *peer.Ring, member string, ds []string) []string {
-	var out []string
-	for _, d := range ds {
-		for _, o := range ring.Owners(d, w.cfg.ReplicationFactor) {
-			if o == member {
-				out = append(out, d)
-				break
-			}
-		}
-	}
-	return out
-}
-
 // TestSimReplicatedCrashZeroRecompressions is the R=2 acceptance
 // schedule: with two replicas per digest, a single-node crash costs zero
 // recompressions — both in the immediate window before the failure
@@ -393,68 +376,6 @@ func TestSimReplicatedPartitionBoundedStaleness(t *testing.T) {
 		w.Compress(nodes[2+i%3], d)
 	}
 	w.Run(2 * time.Second)
-	settleAndCheck(t, w)
-	if err := w.CheckReplication(); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestSimHandoffDrainAndReassign: pushes to a crashed-but-not-yet-dead
-// member buffer as hints; a rejoin inside the suspect window drains them
-// to the member, while staying down past DeadAfter reassigns them to the
-// digest's surviving replica set.
-func TestSimHandoffDrainAndReassign(t *testing.T) {
-	nodes := nodeNames(4)
-	w := New(9, Config{Nodes: nodes, ReplicationFactor: 2})
-	w.Boot()
-	w.Run(8 * time.Second)
-	if !w.Converged() {
-		t.Fatal("cluster did not form before the fault schedule")
-	}
-	ring := w.nodes[nodes[0]].ring
-
-	// Drain: crash the target, commit digests it owns, rejoin before the
-	// dead timeout — the buffered hints must reach it.
-	w.Crash(nodes[3])
-	drainDs := ownedBy(w, ring, nodes[3], digests("hd", 20))
-	if len(drainDs) == 0 {
-		t.Fatal("degenerate placement: no digest owned by the crashed node")
-	}
-	for _, d := range drainDs {
-		w.Compress(nodes[0], d)
-	}
-	w.Run(2 * time.Second) // pushes time out and buffer as hints
-	if got := w.NodeStats(nodes[0]).HandoffHinted; got == 0 {
-		t.Fatal("pushes to the crashed member buffered no hints")
-	}
-	w.Restart(nodes[3])
-	w.Run(4 * time.Second)
-	if got := w.NodeStats(nodes[0]).HandoffDrained; got == 0 {
-		t.Error("no hint drained after the member rejoined")
-	}
-	for _, d := range drainDs {
-		if _, held := w.nodes[nodes[3]].cache[d]; !held {
-			t.Errorf("rejoined member missing hinted digest %s", d)
-		}
-	}
-
-	// Reassign: crash it again, commit more of its digests, and leave it
-	// down past DeadAfter — the hints must re-replicate to the digests'
-	// surviving owners instead.
-	w.Crash(nodes[3])
-	reassignDs := ownedBy(w, ring, nodes[3], digests("hr", 20))
-	if len(reassignDs) == 0 {
-		t.Fatal("degenerate placement: no reassign digest owned by the crashed node")
-	}
-	for _, d := range reassignDs {
-		w.Compress(nodes[1], d)
-	}
-	w.Run(15 * time.Second) // past DeadAfter: the ring drops the member
-	if got := w.NodeStats(nodes[1]).HandoffReassigned; got == 0 {
-		t.Error("hints for a dead member were not reassigned")
-	}
-
-	w.Restart(nodes[3])
 	settleAndCheck(t, w)
 	if err := w.CheckReplication(); err != nil {
 		t.Error(err)

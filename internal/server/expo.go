@@ -270,20 +270,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		x.gaugeInt("cpackd_peer_replica_factor", "", int64(c.ReplicationFactor()))
 		x.family("cpackd_peer_replica_fallthroughs_total", "counter", "Warm-tier hits served by a later replica after the first choice failed.")
 		x.counter("cpackd_peer_replica_fallthroughs_total", "", st.ReplicaFallthroughs)
-		x.family("cpackd_peer_readrepair_total", "counter", "Lagging replicas re-offered a verified entry after a fetch (local installs included).")
-		x.counter("cpackd_peer_readrepair_total", "", st.ReadRepairs)
-		x.family("cpackd_peer_handoff_hinted_total", "counter", "Failed replication pushes buffered as handoff hints.")
-		x.counter("cpackd_peer_handoff_hinted_total", "", st.HandoffHinted)
-		x.family("cpackd_peer_handoff_drained_total", "counter", "Handoff hints delivered to their recovered target.")
-		x.counter("cpackd_peer_handoff_drained_total", "", st.HandoffDrained)
-		x.family("cpackd_peer_handoff_reassigned_total", "counter", "Handoff hints re-routed to surviving owners after their target died or left.")
-		x.counter("cpackd_peer_handoff_reassigned_total", "", st.HandoffReassigned)
-		x.family("cpackd_peer_handoff_dropped_total", "counter", "Handoff hints dropped (buffer overflow or undeliverable).")
-		x.counter("cpackd_peer_handoff_dropped_total", "", st.HandoffDropped)
-		x.family("cpackd_peer_handoff_pending", "gauge", "Handoff hints currently buffered.")
-		x.gaugeInt("cpackd_peer_handoff_pending", "", int64(st.HandoffPending))
-		x.family("cpackd_peer_handoff_pending_bytes", "gauge", "Encoded bytes of buffered handoff hints.")
-		x.gaugeInt("cpackd_peer_handoff_pending_bytes", "", int64(st.HandoffPendingBytes))
 		x.family("cpackd_peer_fetch_duration_seconds", "histogram", "Warm-tier owner-fetch latency (breaker skips included).")
 		x.histogram("cpackd_peer_fetch_duration_seconds", "", m.peerFetch.snapshot(), m.peerFetch.exemplarView())
 		x.family("cpackd_peer_breaker_state", "gauge", "Per-peer breaker state: 0 closed, 1 half-open, 2 open.")

@@ -22,10 +22,9 @@ type HealthSummary struct {
 	Cache         cacheStats     `json:"cache"`
 
 	// Cluster fields are zero for a standalone node.
-	RingEpoch      uint64   `json:"ring_epoch,omitempty"`
-	Members        []string `json:"members,omitempty"`
-	ReplQueue      int      `json:"repl_queue_depth,omitempty"`
-	HandoffPending int      `json:"handoff_pending,omitempty"`
+	RingEpoch uint64   `json:"ring_epoch,omitempty"`
+	Members   []string `json:"members,omitempty"`
+	ReplQueue int      `json:"repl_queue_depth,omitempty"`
 
 	// SLO fields are absent when no -slos file is loaded.
 	SLOState   string                `json:"slo_state,omitempty"`
@@ -48,7 +47,6 @@ func (s *Server) healthSummary() HealthSummary {
 		h.RingEpoch = c.RingEpoch()
 		h.Members = c.Members()
 		h.ReplQueue = c.ReplQueueDepth()
-		h.HandoffPending = c.Stats().HandoffPending
 	}
 	if s.slo != nil {
 		h.SLOState = s.slo.WorstState().String()

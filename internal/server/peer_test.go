@@ -444,30 +444,6 @@ func imageWithOwners(t *testing.T, ring *peer.Ring, tag string, base int, want .
 	return nil
 }
 
-// waitRingQuiet blocks until every server's ring epoch has stopped
-// moving: the boot-time membership joins each bump the epoch and fire a
-// ring-change anti-entropy pass, so a test that seeds a cache by hand
-// must wait them out or a late pass will replicate the seed on its own.
-func waitRingQuiet(t *testing.T, servers ...*Server) {
-	t.Helper()
-	var last []uint64
-	stable := 0
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		cur := make([]uint64, len(servers))
-		for i, s := range servers {
-			cur[i] = s.cluster.RingEpoch()
-		}
-		if !slices.Equal(cur, last) {
-			last, stable = cur, 0
-		} else if stable++; stable >= 20 { // ~100ms of unchanged epochs
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatal("ring epochs never settled within 5s")
-}
-
 // replicatedConfig is fastPeerConfig at R=2 with a one-failure breaker
 // that stays open for the whole test, so a single failed contact pins a
 // replica as skipped.
@@ -559,65 +535,6 @@ func TestPeerReplicaFallthroughOnBreakerOpen(t *testing.T) {
 	}
 	if got := metricValue(t, body, "cpackd_peer_replica_factor"); got != 2 {
 		t.Errorf("cpackd_peer_replica_factor = %v, want 2", got)
-	}
-}
-
-// TestPeerReadRepairConvergesLaggingReplica: a replica that answers a
-// clean 404 during a fetch walk receives the verified entry through
-// read-repair — convergence without waiting for an anti-entropy pass
-// (membership here is quiescent, so no pass ever runs after startup).
-func TestPeerReadRepairConvergesLaggingReplica(t *testing.T) {
-	lnA, urlA := reserveURL(t)
-	lnB, urlB := reserveURL(t)
-	lnC, urlC := reserveURL(t)
-
-	boot := func(self string, peers ...string) *Server {
-		s, err := New(Config{Logger: quietLogger(), Peer: replicatedConfig(self, peers...)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	sa := boot(urlA, urlB, urlC)
-	startOn(t, sa, lnA)
-	sb := boot(urlB, urlA, urlC)
-	startOn(t, sb, lnB)
-	sc := boot(urlC, urlA, urlB)
-	startOn(t, sc, lnC)
-
-	// Let the boot-time joins and their anti-entropy passes finish before
-	// seeding, so the only mechanism left that can move the entry to A is
-	// read-repair.
-	waitRingQuiet(t, sa, sb, sc)
-
-	// A digest owned by [A, B]: seed only B, so the primary replica A
-	// lags behind its successor.
-	ring := peer.NewRing([]string{urlA, urlB, urlC}, peer.DefaultReplicas)
-	im := imageWithOwners(t, ring, "rr", 0, urlA, urlB)
-	comp, err := codepack.Compress(im)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb.cache.put(codepack.ImageDigest(im), comp)
-	if got := sa.cache.stats().Entries; got != 0 {
-		t.Fatalf("primary replica already holds %d entries before the fetch", got)
-	}
-
-	// C's fetch walks A (404) then B (hit): a warm response, plus a
-	// read-repair push that re-offers the entry to A.
-	if resp := compressImageOn(t, urlC, im); !resp.Cached {
-		t.Error("fetch through the lagging replica did not report cached")
-	}
-	waitFor(t, func() bool { return sa.cache.stats().Entries == 1 })
-	if got := sa.cache.stats().Unverified; got != 1 {
-		t.Errorf("repaired entry on A not quarantined: unverified = %d", got)
-	}
-	body := scrapeURL(t, urlC)
-	if got := metricValue(t, body, "cpackd_peer_readrepair_total"); got != 1 {
-		t.Errorf("cpackd_peer_readrepair_total = %v, want 1", got)
-	}
-	if got := metricValue(t, body, "cpackd_peer_replica_fallthroughs_total"); got != 1 {
-		t.Errorf("cpackd_peer_replica_fallthroughs_total = %v, want 1", got)
 	}
 }
 
