@@ -53,6 +53,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz 'FuzzUnmarshalCompressed$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz 'FuzzDecodeCorruptRegion$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz 'FuzzDecodeEquivalence$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run xxx -fuzz 'FuzzCompressEquivalence$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz 'FuzzBitStream$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz 'FuzzLoadCacheLog$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run xxx -fuzz 'FuzzRecoverCacheDir$$' -fuzztime $(FUZZTIME) ./internal/server

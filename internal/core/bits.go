@@ -5,35 +5,42 @@
 // address space.
 package core
 
-// bitWriter emits an MSB-first bitstream.
+import "encoding/binary"
+
+// bitWriter emits an MSB-first bitstream. Bits collect in a 64-bit
+// accumulator and reach buf four whole bytes at a time, so one writer can
+// append every block of a compression to the same buffer.
 type bitWriter struct {
 	buf  []byte
-	nbit uint // bits written so far
+	acc  uint64 // the low nacc bits are written but not yet in buf
+	nacc uint   // below 32 between calls
 }
 
-// writeBits appends the low n bits of v, most significant first.
+// writeBits appends the low n bits of v, most significant first; n <= 32.
 func (w *bitWriter) writeBits(v uint32, n uint) {
-	for i := int(n) - 1; i >= 0; i-- {
-		if w.nbit%8 == 0 {
-			w.buf = append(w.buf, 0)
-		}
-		if v>>uint(i)&1 != 0 {
-			w.buf[w.nbit/8] |= 0x80 >> (w.nbit % 8)
-		}
-		w.nbit++
+	w.acc = w.acc<<n | uint64(v)&(1<<n-1)
+	w.nacc += n
+	if w.nacc >= 32 {
+		w.nacc -= 32
+		w.buf = binary.BigEndian.AppendUint32(w.buf, uint32(w.acc>>w.nacc))
 	}
 }
 
-// align pads with zero bits to the next byte boundary and returns the number
-// of pad bits added.
+// align pads with zero bits to the next byte boundary, moves every pending
+// bit into buf, and returns the number of pad bits added.
 func (w *bitWriter) align() uint {
-	pad := (8 - w.nbit%8) % 8
-	w.nbit += pad
+	pad := (8 - w.nacc%8) % 8
+	w.acc <<= pad
+	w.nacc += pad
+	for w.nacc > 0 {
+		w.nacc -= 8
+		w.buf = append(w.buf, byte(w.acc>>w.nacc))
+	}
 	return pad
 }
 
-// bytes returns the byte-aligned buffer.
-func (w *bitWriter) bytes() []byte { return w.buf }
+// bitLen returns the number of bits written so far.
+func (w *bitWriter) bitLen() int { return 8*len(w.buf) + int(w.nacc) }
 
 // bitReader consumes an MSB-first bitstream.
 type bitReader struct {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"codepack/internal/isa"
@@ -92,11 +94,7 @@ func CompressWordsHooked(name string, textBase uint32, text []isa.Word, opts Opt
 	if len(text) == 0 {
 		return nil, fmt.Errorf("core: empty text section")
 	}
-	padded := text
-	if len(text)%GroupInstrs != 0 {
-		padded = make([]isa.Word, (len(text)+GroupInstrs-1)/GroupInstrs*GroupInstrs)
-		copy(padded, text)
-	}
+	nPadded := (len(text) + GroupInstrs - 1) / GroupInstrs * GroupInstrs
 
 	c := &Compressed{
 		Name:     name,
@@ -111,27 +109,25 @@ func CompressWordsHooked(name string, textBase uint32, text []isa.Word, opts Opt
 		}
 		return hook(p)
 	}
+	s := scratchPool.Get().(*encScratch)
 	if c.High == nil || c.Low == nil {
 		end := phase("dict-build")
-		highCounts, lowCounts := CountHalfwords(padded)
 		if c.High == nil {
-			c.High = BuildDict(highCounts, opts.High)
+			s.countHalves(text, 16, nPadded-len(text))
+			c.High = s.rankDict(opts.High)
 		}
 		if c.Low == nil {
-			c.Low = BuildDict(lowCounts, opts.Low)
+			s.countHalves(text, 0, nPadded-len(text))
+			c.Low = s.rankDict(opts.Low)
 		}
 		end()
 	}
 
-	nBlocks := len(padded) / BlockInstrs
-	c.blocks = make([]blockMeta, nBlocks)
-	c.Index = make([]IndexEntry, nBlocks/GroupBlocks)
+	c.blocks = make([]blockMeta, nPadded/BlockInstrs)
+	c.Index = make([]IndexEntry, nPadded/GroupInstrs)
 	end := phase("encode")
-	for b := 0; b < nBlocks; b++ {
-		if err := c.encodeBlock(b, padded[b*BlockInstrs:(b+1)*BlockInstrs]); err != nil {
-			return nil, err
-		}
-	}
+	c.encode(s, text)
+	scratchPool.Put(s)
 	end()
 	end = phase("index-build")
 	defer end()
@@ -152,71 +148,135 @@ func CompressWordsHooked(name string, textBase uint32, text []isa.Word, opts Opt
 		}
 		c.Index[g] = e
 	}
-	c.finishStats(len(padded))
+	c.finishStats(nPadded)
 	return c, nil
 }
 
-// encodeHalf appends the codeword for halfword v against dictionary d,
-// returning the class used.
-func encodeHalf(w *bitWriter, d *Dict, v uint16) int {
-	s := d.Lookup(v)
-	if s < 0 {
-		w.writeBits(classTag[classRaw], classTagBits[classRaw])
-		w.writeBits(uint32(v), 16)
-		return classRaw
-	}
-	cl, idx := classOfSlot(s)
-	w.writeBits(classTag[cl], classTagBits[cl])
-	w.writeBits(uint32(idx), classIndexBits[cl])
-	return cl
+// encScratch is the working memory of one compression, pooled so that a
+// compression allocates little beyond its result. tab is indexed by
+// halfword value and is all zero between uses. While a dictionary is
+// built it holds that half's counts, and touched lists the values counted
+// so that only their entries need clearing. While the program is encoded
+// it is the slot table (see encode).
+type encScratch struct {
+	tab     [1 << 16]uint32
+	touched []uint16
+	keys    []uint64
+	w       bitWriter
 }
 
-func (c *Compressed) encodeBlock(b int, words []isa.Word) error {
-	var w bitWriter
-	meta := &c.blocks[b]
-	meta.start = uint32(len(c.Region))
+var scratchPool = sync.Pool{New: func() any { return new(encScratch) }}
 
-	var classes [BlockInstrs][2]int
+// countHalves counts the halfwords uint16(w>>shift) of text, plus pad zero
+// halfwords for the nops that fill out the last group.
+func (s *encScratch) countHalves(text []isa.Word, shift uint, pad int) {
+	for _, w := range text {
+		s.count(uint16(w >> shift))
+	}
+	for range pad {
+		s.count(0)
+	}
+}
+
+// count adds one occurrence of halfword v.
+func (s *encScratch) count(v uint16) {
+	if s.tab[v] == 0 {
+		s.touched = append(s.touched, v)
+	}
+	s.tab[v]++
+}
+
+// slotCode is the codeword for one slot-table value: dictionary slot s-1
+// for s > 0, or for s == 0 the raw escape, whose 16 literal bits are the
+// halfword itself (lit masks them in).
+type slotCode struct {
+	code  uint32
+	lit   uint32
+	bits  uint8
+	class uint8
+}
+
+var slotCodes = func() (t [1 + DictCapacity]slotCode) {
+	t[0] = slotCode{code: classTag[classRaw] << 16, lit: 0xFFFF, bits: RawCodewordBits, class: classRaw}
+	for s := 0; s < DictCapacity; s++ {
+		cl, idx := classOfSlot(s)
+		t[1+s] = slotCode{
+			code:  classTag[cl]<<classIndexBits[cl] | uint32(idx),
+			bits:  uint8(codewordBits(cl)),
+			class: uint8(cl),
+		}
+	}
+	return t
+}()
+
+// encode writes every block of text, nop-padded to len(c.blocks) blocks,
+// through the scratch writer, then copies the region out. The slot table
+// packs both dictionaries into s.tab: entry v is (highSlot+1)<<16 |
+// (lowSlot+1) for halfword value v, where 0 means not in the dictionary.
+func (c *Compressed) encode(s *encScratch, text []isa.Word) {
+	for i, v := range c.High.entries {
+		s.tab[v] = uint32(i+1) << 16
+	}
+	for i, v := range c.Low.entries {
+		s.tab[v] |= uint32(i + 1)
+	}
+	s.w = bitWriter{buf: s.w.buf[:0]}
+	var tail [BlockInstrs]isa.Word
+	for b := range c.blocks {
+		words := &tail
+		if end := (b + 1) * BlockInstrs; end <= len(text) {
+			words = (*[BlockInstrs]isa.Word)(text[end-BlockInstrs : end])
+		} else {
+			tail = [BlockInstrs]isa.Word{}
+			copy(tail[:], text[min(b*BlockInstrs, len(text)):])
+		}
+		c.encodeBlock(s, &c.blocks[b], words)
+	}
+	c.Region = make([]byte, len(s.w.buf))
+	copy(c.Region, s.w.buf)
+	for _, v := range c.High.entries {
+		s.tab[v] = 0
+	}
+	for _, v := range c.Low.entries {
+		s.tab[v] = 0
+	}
+}
+
+func (c *Compressed) encodeBlock(s *encScratch, meta *blockMeta, words *[BlockInstrs]isa.Word) {
+	w := &s.w
+	start := len(w.buf)
+	meta.start = uint32(start)
+	var classes [numClasses]int
 	for i, word := range words {
-		classes[i][0] = encodeHalf(&w, c.High, uint16(word>>16))
-		classes[i][1] = encodeHalf(&w, c.Low, uint16(word))
-		meta.cumBits[i] = uint16(w.nbit)
+		hi, lo := uint16(word>>16), uint16(word)
+		h := &slotCodes[s.tab[hi]>>16]
+		w.writeBits(h.code|uint32(hi)&h.lit, uint(h.bits))
+		l := &slotCodes[s.tab[lo]&0xFFFF]
+		w.writeBits(l.code|uint32(lo)&l.lit, uint(l.bits))
+		classes[h.class]++
+		classes[l.class]++
+		meta.cumBits[i] = uint16(w.bitLen() - 8*start)
 	}
 	pad := w.align()
 
-	if len(w.bytes()) >= BlockNativeBytes {
-		// Compression would not shrink the block: store it raw.
-		meta.raw = true
-		meta.size = BlockNativeBytes
-		for i := range words {
-			meta.cumBits[i] = uint16((i + 1) * 32)
-			c.stats.RawBlockInstrs++
+	if size := len(w.buf) - start; size < BlockNativeBytes {
+		meta.size = uint16(size)
+		c.stats.PadBits += int(pad)
+		for cl := class0; cl <= class3; cl++ {
+			c.stats.ClassCounts[cl] += classes[cl]
 		}
-		for _, word := range words {
-			c.Region = append(c.Region,
-				byte(word>>24), byte(word>>16), byte(word>>8), byte(word))
-		}
-		c.stats.RawBits += BlockInstrs * 32
-		return nil
+		c.stats.RawHalfwords += classes[classRaw]
+		return
 	}
-
-	meta.size = uint16(len(w.bytes()))
-	c.Region = append(c.Region, w.bytes()...)
-	c.stats.PadBits += int(pad)
-	for i := range words {
-		for _, cl := range classes[i] {
-			if cl == classRaw {
-				c.stats.RawTagBits += int(classTagBits[classRaw])
-				c.stats.RawBits += 16
-				c.stats.RawHalfwords++
-			} else {
-				c.stats.TagBits += int(classTagBits[cl])
-				c.stats.IndexBits += int(classIndexBits[cl])
-				c.stats.ClassCounts[cl]++
-			}
-		}
+	// Compression would not shrink the block: store it raw.
+	w.buf = w.buf[:start]
+	for i, word := range words {
+		w.buf = binary.BigEndian.AppendUint32(w.buf, word)
+		meta.cumBits[i] = uint16((i + 1) * 32)
 	}
-	return nil
+	meta.raw = true
+	meta.size = BlockNativeBytes
+	c.stats.RawBlockInstrs += BlockInstrs
 }
 
 // NumBlocks returns the number of compression blocks.

@@ -39,6 +39,9 @@ func TestBitStreamRoundTrip(t *testing.T) {
 	}
 }
 
+// bytes returns the writer's buffer; call align first so it holds every bit.
+func (w *bitWriter) bytes() []byte { return w.buf }
+
 func TestIndexEntryPackUnpack(t *testing.T) {
 	f := func(start, length uint32, r0, r1 bool) bool {
 		e := IndexEntry{
@@ -88,11 +91,23 @@ func TestClassGeometry(t *testing.T) {
 	}
 }
 
+// buildDict ranks a dictionary from explicit value counts, through the
+// encoder's count table and rankDict.
+func buildDict(counts map[uint16]int, opts BuildDictOptions) *Dict {
+	s := new(encScratch)
+	for v, n := range counts {
+		for range n {
+			s.count(v)
+		}
+	}
+	return s.rankDict(opts)
+}
+
 func TestDictBuildRanking(t *testing.T) {
 	counts := map[uint16]int{
 		0x1111: 100, 0x2222: 90, 0x3333: 80, 0x4444: 1,
 	}
-	d := BuildDict(counts, BuildDictOptions{})
+	d := buildDict(counts, BuildDictOptions{})
 	if d.Lookup(0x1111) != 0 {
 		t.Errorf("most frequent value not in slot 0: %d", d.Lookup(0x1111))
 	}
@@ -112,7 +127,7 @@ func TestDictBuildSingletonPolicy(t *testing.T) {
 	}
 	counts[0x8001] = 1 // singleton: excluded
 	counts[0x8002] = 2 // break-even: included
-	d := BuildDict(counts, BuildDictOptions{})
+	d := buildDict(counts, BuildDictOptions{})
 	if d.Lookup(0x8001) != -1 {
 		t.Error("singleton got a class-3 slot")
 	}
@@ -123,7 +138,7 @@ func TestDictBuildSingletonPolicy(t *testing.T) {
 
 func TestDictZeroSlot(t *testing.T) {
 	counts := map[uint16]int{0x0000: 5, 0xAAAA: 500}
-	d := BuildDict(counts, BuildDictOptions{ForceZeroSlot0: true})
+	d := buildDict(counts, BuildDictOptions{ForceZeroSlot0: true})
 	if d.Lookup(0) != 0 {
 		t.Fatalf("zero not pinned to slot 0: %d", d.Lookup(0))
 	}

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Dict is one CodePack dictionary: an ordered table of 16-bit halfword
@@ -10,27 +10,24 @@ import (
 // class, slots 1-8 the 5-bit class, and so on).
 type Dict struct {
 	entries []uint16
-	slot    map[uint16]int // value -> slot
 }
 
 // NewDict builds a dictionary from explicit entries (slot order). Used when
-// loading a serialized dictionary; BuildDict constructs one from a program.
+// loading a serialized dictionary; compression ranks one from a program.
 func NewDict(entries []uint16) (*Dict, error) {
 	if len(entries) > DictCapacity {
 		return nil, fmt.Errorf("core: dictionary has %d entries, capacity %d",
 			len(entries), DictCapacity)
 	}
-	d := &Dict{
-		entries: append([]uint16(nil), entries...),
-		slot:    make(map[uint16]int, len(entries)),
-	}
-	for i, v := range entries {
-		if _, dup := d.slot[v]; dup {
+	var seen [1 << 16 / 64]uint64 // one bit per halfword value
+	for _, v := range entries {
+		bit := uint64(1) << (v % 64)
+		if seen[v/64]&bit != 0 {
 			return nil, fmt.Errorf("core: duplicate dictionary entry %#04x", v)
 		}
-		d.slot[v] = i
+		seen[v/64] |= bit
 	}
-	return d, nil
+	return &Dict{entries: append([]uint16(nil), entries...)}, nil
 }
 
 // Len returns the number of populated entries.
@@ -41,12 +38,7 @@ func (d *Dict) Entries() []uint16 { return append([]uint16(nil), d.entries...) }
 
 // Lookup returns the slot for value v, or -1 when v is not in the
 // dictionary (and must be escaped as raw bits).
-func (d *Dict) Lookup(v uint16) int {
-	if s, ok := d.slot[v]; ok {
-		return s
-	}
-	return -1
-}
+func (d *Dict) Lookup(v uint16) int { return slices.Index(d.entries, v) }
 
 // Value returns the halfword stored at slot s.
 func (d *Dict) Value(s int) (uint16, error) {
@@ -74,62 +66,55 @@ type BuildDictOptions struct {
 	MinClass3Count int
 }
 
-// BuildDict constructs a frequency-ranked dictionary from halfword counts.
-// The most frequent values take the shortest codewords, per the paper.
-func BuildDict(counts map[uint16]int, opts BuildDictOptions) *Dict {
+// rankDict builds a dictionary from the counted values and clears their
+// counts. Values rank by count descending, then by value ascending: the
+// packed key ^count<<16|value sorts ascending into exactly that order.
+func (s *encScratch) rankDict(opts BuildDictOptions) *Dict {
 	minC3 := opts.MinClass3Count
 	if minC3 == 0 {
 		minC3 = 2
 	}
-	type hw struct {
-		v uint16
-		n int
+	// A value counted fewer than minC3 times ranks below every value
+	// counted more often, and may not take a class-3 slot. Once at least
+	// classBase[class3] values are counted minC3 times or more, they fill
+	// every slot below class 3 first, so the rare values are left out of
+	// the sort. In the 8k-instruction misses-large corpus programs they
+	// are 72% of the distinct low halves, and leaving them out cuts
+	// dict-build by 43%; a tiny program never reaches 73 frequent values
+	// and pays one pass over its few dozen (DESIGN.md §5d).
+	frequent := 0
+	for _, v := range s.touched {
+		if int(s.tab[v]) >= minC3 {
+			frequent++
+		}
 	}
-	ranked := make([]hw, 0, len(counts))
-	for v, n := range counts {
-		if n <= 0 {
+	keepRare := frequent < classBase[class3]
+	keys := s.keys[:0]
+	for _, v := range s.touched {
+		n := s.tab[v]
+		s.tab[v] = 0
+		if opts.ForceZeroSlot0 && v == 0 || int(n) < minC3 && !keepRare {
 			continue
 		}
-		if opts.ForceZeroSlot0 && v == 0 {
-			continue
-		}
-		ranked = append(ranked, hw{v, n})
+		keys = append(keys, uint64(^n)<<16|uint64(v))
 	}
-	// Rank by frequency, ties broken by value for determinism.
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].n != ranked[j].n {
-			return ranked[i].n > ranked[j].n
-		}
-		return ranked[i].v < ranked[j].v
-	})
-	d := &Dict{slot: make(map[uint16]int)}
-	add := func(v uint16) {
-		d.slot[v] = len(d.entries)
-		d.entries = append(d.entries, v)
-	}
+	s.touched = s.touched[:0]
+	slices.Sort(keys)
+	s.keys = keys
+
+	d := &Dict{entries: make([]uint16, 0, min(len(keys)+1, DictCapacity))}
 	if opts.ForceZeroSlot0 {
-		add(0) // reserved even if zero never appears, keeping the encoding uniform
+		// Reserved even if zero never appears, keeping the encoding uniform.
+		d.entries = append(d.entries, 0)
 	}
-	for _, e := range ranked {
-		if len(d.entries) >= DictCapacity {
+	for _, k := range keys {
+		if len(d.entries) == DictCapacity {
 			break
 		}
-		c, _ := classOfSlot(len(d.entries))
-		if c == class3 && e.n < minC3 {
-			continue // not worth a dictionary slot
+		if len(d.entries) >= classBase[class3] && int(^uint32(k>>16)) < minC3 {
+			break // not worth a class-3 slot, and every later value is rarer
 		}
-		add(e.v)
+		d.entries = append(d.entries, uint16(k))
 	}
 	return d
-}
-
-// CountHalfwords tallies high and low halfword frequencies over text.
-func CountHalfwords(text []uint32) (high, low map[uint16]int) {
-	high = make(map[uint16]int)
-	low = make(map[uint16]int)
-	for _, w := range text {
-		high[uint16(w>>16)]++
-		low[uint16(w)]++
-	}
-	return high, low
 }

@@ -63,13 +63,39 @@ func FuzzDecodeCorruptRegion(f *testing.F) {
 	})
 }
 
-// FuzzDecodeEquivalence compresses arbitrary programs and asserts the
-// fast table-driven decoder is word-for-word identical to the reference
-// tag walker across every decode entry point: whole-image Decompress,
-// per-block DecodeBlock (including raw and padded tail blocks), and
-// address-wise DecodeAt. This is the CI-enforced invariant that lets the
-// serve path run the fast decoder by default.
-func FuzzDecodeEquivalence(f *testing.F) {
+// fuzzText reassembles fuzz bytes into an instruction stream, big-endian;
+// trim varies the length mod the group size so padded tails are
+// exercised. The word cap bounds per-exec cost: the engine replays the
+// body thousands of times when minimizing an interesting input, so a
+// cheap body is what keeps the CI fuzz budget productive. Six blocks
+// still span multiple groups, raw blocks and padded tails.
+func fuzzText(data []byte, trim uint8) []isa.Word {
+	n := (len(data) + 3) / 4
+	if n == 0 {
+		n = 1
+	}
+	if n > 6*BlockInstrs {
+		n = 6 * BlockInstrs
+	}
+	if cut := int(trim) % GroupInstrs; n > cut {
+		n -= cut
+	}
+	text := make([]isa.Word, n)
+	for i := range text {
+		var w uint32
+		for j := 0; j < 4; j++ {
+			w <<= 8
+			if o := 4*i + j; o < len(data) {
+				w |= uint32(data[o])
+			}
+		}
+		text[i] = w
+	}
+	return text
+}
+
+// addProgramSeeds seeds a fuzz target that takes (program bytes, trim).
+func addProgramSeeds(f *testing.F) {
 	rng := rand.New(rand.NewSource(13))
 	seed := func(text []isa.Word) {
 		raw := make([]byte, 4*len(text))
@@ -85,34 +111,19 @@ func FuzzDecodeEquivalence(f *testing.F) {
 	seed(make([]isa.Word, 40))   // all-zero: maximally compressible
 	seed([]isa.Word{0xDEADBEEF}) // single instruction, padded tail
 	f.Add([]byte{0x01, 0x02, 0x03}, uint8(5))
+}
+
+// FuzzDecodeEquivalence compresses arbitrary programs and asserts the
+// fast table-driven decoder is word-for-word identical to the reference
+// tag walker across every decode entry point: whole-image Decompress,
+// per-block DecodeBlock (including raw and padded tail blocks), and
+// address-wise DecodeAt. This is the CI-enforced invariant that lets the
+// serve path run the fast decoder by default.
+func FuzzDecodeEquivalence(f *testing.F) {
+	addProgramSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte, trim uint8) {
-		// Reassemble the bytes into an instruction stream; trim varies
-		// the length mod the group size so padded tails are exercised.
-		// The word cap bounds per-exec cost: the engine replays the body
-		// thousands of times when minimizing an interesting input, so a
-		// cheap body is what keeps the CI fuzz budget productive. Six
-		// blocks still span multiple groups, raw blocks and padded tails.
-		n := (len(data) + 3) / 4
-		if n == 0 {
-			n = 1
-		}
-		if n > 6*BlockInstrs {
-			n = 6 * BlockInstrs
-		}
-		if cut := int(trim) % GroupInstrs; n > cut {
-			n -= cut
-		}
-		text := make([]isa.Word, n)
-		for i := range text {
-			var w uint32
-			for j := 0; j < 4; j++ {
-				w <<= 8
-				if o := 4*i + j; o < len(data) {
-					w |= uint32(data[o])
-				}
-			}
-			text[i] = w
-		}
+		text := fuzzText(data, trim)
+		n := len(text)
 		c, err := CompressWords("fuzz", isa.TextBase, text)
 		if err != nil {
 			t.Fatalf("compress: %v", err)
@@ -179,6 +190,26 @@ func FuzzDecodeEquivalence(f *testing.F) {
 			if wFast != text[idx] {
 				t.Fatalf("fast DecodeAt %#x = %#x, want %#x", addr, wFast, text[idx])
 			}
+		}
+	})
+}
+
+// FuzzCompressEquivalence compresses arbitrary programs with the encoder
+// and the reference encoder (compress_ref_test.go) under each dictionary
+// policy: the defaults, zero not pinned, MinClass3Count 3, and
+// dictionaries fixed to those the reference builds from the first half of
+// the program, so that the second half escapes values they lack. Marshal
+// bytes, Stats and block metadata must be identical.
+func FuzzCompressEquivalence(f *testing.F) {
+	addProgramSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte, trim uint8) {
+		text := fuzzText(data, trim)
+		donor, err := compressReference("donor", isa.TextBase, text[:(len(text)+1)/2], DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, opts := range equivalenceOptions(donor) {
+			requireSameEncoding(t, text, opts)
 		}
 	})
 }

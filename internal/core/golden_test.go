@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"flag"
@@ -147,6 +148,27 @@ func TestGoldenCorpus(t *testing.T) {
 	for name := range digests {
 		if _, ok := progs[name]; !ok {
 			t.Fatalf("stale golden entry %q (regenerate with -update-golden)", name)
+		}
+	}
+}
+
+// TestGoldenCorpusEncoderBytes pins the encoder as TestGoldenCorpus pins
+// the decoders: compressing each generator program must reproduce its
+// committed image byte for byte, so an encoder that emits different bytes
+// fails here even when they still round-trip.
+func TestGoldenCorpusEncoderBytes(t *testing.T) {
+	for name, text := range goldenPrograms() {
+		want, err := os.ReadFile(goldenPath(name))
+		if err != nil {
+			t.Fatalf("missing golden image %s: %v", name, err)
+		}
+		c, err := CompressWords(name, isa.TextBase, text)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := c.Marshal(); !bytes.Equal(got, want) {
+			t.Errorf("%s: encoder emits %d bytes that differ from the committed %d-byte image",
+				name, len(got), len(want))
 		}
 	}
 }

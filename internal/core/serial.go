@@ -10,21 +10,22 @@ import (
 // packed index table, and the compressed region.
 const compMagic = 0x43504B31 // "CPK1"
 
-// Marshal serializes the compressed program.
+// Marshal serializes the compressed program into one exactly-sized buffer.
 func (c *Compressed) Marshal() []byte {
-	var b []byte
+	high, low := c.High.entries, c.Low.entries
+	b := make([]byte, 0, 28+2*(len(high)+len(low))+4*len(c.Index)+len(c.Region))
 	put := func(v uint32) { b = binary.LittleEndian.AppendUint32(b, v) }
 	put(compMagic)
 	put(c.TextBase)
 	put(uint32(c.NumInstr))
-	put(uint32(c.High.Len()))
-	put(uint32(c.Low.Len()))
+	put(uint32(len(high)))
+	put(uint32(len(low)))
 	put(uint32(len(c.Index)))
 	put(uint32(len(c.Region)))
-	for _, v := range c.High.Entries() {
+	for _, v := range high {
 		b = binary.LittleEndian.AppendUint16(b, v)
 	}
-	for _, v := range c.Low.Entries() {
+	for _, v := range low {
 		b = binary.LittleEndian.AppendUint16(b, v)
 	}
 	for _, e := range c.Index {
@@ -129,15 +130,15 @@ func (c *Compressed) rebuildBlockMeta() error {
 	return nil
 }
 
-// rebuildStats recomputes size statistics (composition counters other than
-// sizes are rebuilt from a decode pass).
+// rebuildStats recomputes what the block metadata determines: the sizes,
+// raw-block instructions and pad bits. The serialized form does not carry
+// the codeword counts, so they and the tag and index bits stay zero.
 func (c *Compressed) rebuildStats() {
 	c.stats = Stats{}
 	for blk := range c.blocks {
 		m := &c.blocks[blk]
 		if m.raw {
 			c.stats.RawBlockInstrs += BlockInstrs
-			c.stats.RawBits += BlockInstrs * 32
 			continue
 		}
 		c.stats.PadBits += int(m.size)*8 - int(m.cumBits[BlockInstrs-1])

@@ -27,12 +27,23 @@ type Stats struct {
 	PaddedInstrs    int
 }
 
+// finishStats derives the bit-level composition from the codeword counts
+// (ClassCounts and RawHalfwords count the codewords of encoded blocks,
+// RawBlockInstrs the instructions of raw blocks) and fills in the sizes.
 func (c *Compressed) finishStats(paddedInstrs int) {
-	c.stats.IndexTableBytes = len(c.Index) * IndexEntryBytes
-	c.stats.DictBytes = c.High.Bytes() + c.Low.Bytes()
-	c.stats.RegionBytes = len(c.Region)
-	c.stats.OriginalBytes = c.NumInstr * 4
-	c.stats.PaddedInstrs = paddedInstrs
+	st := &c.stats
+	st.TagBits, st.IndexBits = 0, 0
+	for cl := class0; cl <= class3; cl++ {
+		st.TagBits += st.ClassCounts[cl] * int(classTagBits[cl])
+		st.IndexBits += st.ClassCounts[cl] * int(classIndexBits[cl])
+	}
+	st.RawTagBits = st.RawHalfwords * int(classTagBits[classRaw])
+	st.RawBits = st.RawHalfwords*int(classIndexBits[classRaw]) + st.RawBlockInstrs*32
+	st.IndexTableBytes = len(c.Index) * IndexEntryBytes
+	st.DictBytes = c.High.Bytes() + c.Low.Bytes()
+	st.RegionBytes = len(c.Region)
+	st.OriginalBytes = c.NumInstr * 4
+	st.PaddedInstrs = paddedInstrs
 }
 
 // Stats returns the composition statistics gathered during compression.
