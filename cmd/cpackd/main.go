@@ -99,7 +99,7 @@ func run(args []string) error {
 		logLevel     = fs.String("log-level", "info", "log level: debug, info, warn, error")
 		peers        = fs.String("peers", "", "comma-separated seed peer base URLs for the warm-cache cluster")
 		peerSelf     = fs.String("peer-self", "", "this instance's advertised base URL (required with -peers)")
-		peerTimeout  = fs.Duration("peer-timeout", 0, "per-attempt peer fetch timeout (0 = default)")
+		peerTimeout  = fs.Duration("peer-timeout", 0, "per-request peer timeout (0 = default)")
 		peerHB       = fs.Duration("peer-heartbeat", 0, "membership heartbeat interval (0 = default)")
 		peerSuspect  = fs.Duration("peer-suspect-after", 0, "silence before a member is suspected (0 = default)")
 		peerDead     = fs.Duration("peer-dead-after", 0, "silence before a suspect is declared dead (0 = default)")

@@ -323,20 +323,16 @@ func (c *Compressed) LookupBlock(b int) (start uint32, raw bool, err error) {
 	return e.Block0Start + e.Block0Len, e.Raw1, nil
 }
 
-// DecodeBlock decompresses block b into out with the decoder selected by
-// the current DecodeMode (the table-driven fast path by default; see
-// fastdecode.go).
+// DecodeBlock decompresses block b into out with the table-driven
+// decoder (see fastdecode.go).
 func (c *Compressed) DecodeBlock(b int, out *[BlockInstrs]isa.Word) error {
-	if CurrentDecodeMode() == DecodeReference {
-		return c.DecodeBlockReference(b, out)
-	}
 	return c.fastDecode(b, out, nil)
 }
 
 // DecodeBlockReference decompresses block b with the bit-at-a-time tag
-// walker, regardless of the current DecodeMode. It is the correctness
-// oracle the fast decoder is differentially tested against, and the
-// implementation closest to what the decompression hardware does.
+// walker. It is the correctness oracle the fast decoder is
+// differentially tested against, and the implementation closest to what
+// the decompression hardware does.
 func (c *Compressed) DecodeBlockReference(b int, out *[BlockInstrs]isa.Word) error {
 	start, raw, err := c.LookupBlock(b)
 	if err != nil {

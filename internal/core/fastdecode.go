@@ -27,38 +27,9 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"codepack/internal/isa"
 )
-
-// DecodeMode selects which decoder implementation serves DecodeBlock,
-// Decompress, AppendDecompress and DecodeAt.
-type DecodeMode int32
-
-const (
-	// DecodeFast is the default: batched table-driven decoding.
-	DecodeFast DecodeMode = iota
-	// DecodeReference forces the bit-at-a-time tag walker everywhere —
-	// the escape hatch for diffing a suspect fast-path result in
-	// production, and the oracle half of the differential tests.
-	DecodeReference
-)
-
-// decodeMode is the process-wide decoder selection. It exists as an
-// escape hatch, not a tuning knob, so it is deliberately global rather
-// than threaded through every call site.
-var decodeMode atomic.Int32
-
-// SetDecodeMode selects the decoder implementation behind the public
-// decode entry points and returns the previous mode.
-func SetDecodeMode(m DecodeMode) DecodeMode {
-	return DecodeMode(decodeMode.Swap(int32(m)))
-}
-
-// CurrentDecodeMode reports the decoder implementation currently serving
-// the public decode entry points.
-func CurrentDecodeMode() DecodeMode { return DecodeMode(decodeMode.Load()) }
 
 // fastEntry kinds. fastVal is the branch-predictable common case: the
 // leading byte alone determined the decoded halfword.
@@ -135,13 +106,7 @@ func (c *Compressed) fastTables() *fastTabs {
 	return c.fast.Load()
 }
 
-// DecodeBlockFast decompresses block b with the table-driven decoder,
-// regardless of the current DecodeMode.
-func (c *Compressed) DecodeBlockFast(b int, out *[BlockInstrs]isa.Word) error {
-	return c.fastDecode(b, out, nil)
-}
-
-// DecodeBlockPositions is DecodeBlockFast, additionally reporting the
+// DecodeBlockPositions is DecodeBlock, additionally reporting the
 // cumulative bit position consumed after each instruction's codeword
 // pair. Positions must agree with the encoder-recorded cumBits behind
 // InstrReadyBytes — the byte-arrival contract the decomp timing model
@@ -263,16 +228,8 @@ func (c *Compressed) AppendDecompress(dst []isa.Word) ([]isa.Word, error) {
 		dst = grown
 	}
 	dst = dst[:need]
-	ref := CurrentDecodeMode() == DecodeReference
 	for b := range c.blocks {
-		out := (*[BlockInstrs]isa.Word)(dst[n+b*BlockInstrs:])
-		var err error
-		if ref {
-			err = c.DecodeBlockReference(b, out)
-		} else {
-			err = c.fastDecode(b, out, nil)
-		}
-		if err != nil {
+		if err := c.fastDecode(b, (*[BlockInstrs]isa.Word)(dst[n+b*BlockInstrs:]), nil); err != nil {
 			return nil, err
 		}
 	}

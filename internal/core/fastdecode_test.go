@@ -93,7 +93,7 @@ func TestFastDecodeMatchesReference(t *testing.T) {
 				if err := c.DecodeBlockReference(b, &ref); err != nil {
 					t.Fatal(err)
 				}
-				if err := c.DecodeBlockFast(b, &fast); err != nil {
+				if err := c.DecodeBlock(b, &fast); err != nil {
 					t.Fatal(err)
 				}
 				if ref != fast {
@@ -135,43 +135,6 @@ func TestFastDecodeConsumedBitsMatchInstrReadyBytes(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestDecodeModeEscapeHatch proves the mode switch reroutes the public
-// entry points, and that both routes agree.
-func TestDecodeModeEscapeHatch(t *testing.T) {
-	if CurrentDecodeMode() != DecodeFast {
-		t.Fatalf("default mode = %d, want DecodeFast", CurrentDecodeMode())
-	}
-	c, err := CompressWords("mode", isa.TextBase, classText(rand.New(rand.NewSource(3)), 500))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := c.Decompress()
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := SetDecodeMode(DecodeReference)
-	defer SetDecodeMode(prev)
-	if prev != DecodeFast {
-		t.Fatalf("SetDecodeMode returned %d, want previous DecodeFast", prev)
-	}
-	ref, err := c.Decompress()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ref {
-		if ref[i] != fast[i] {
-			t.Fatalf("word %d: reference %#x, fast %#x", i, ref[i], fast[i])
-		}
-	}
-	at, err := c.DecodeAt(isa.TextBase + 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if at != ref[1] {
-		t.Fatalf("DecodeAt under reference mode = %#x, want %#x", at, ref[1])
 	}
 }
 
@@ -227,7 +190,7 @@ func TestFastDecodeTruncationAndMiss(t *testing.T) {
 	var out [BlockInstrs]isa.Word
 	sawFastErr, sawRefErr := false, false
 	for b := 0; b < c.NumBlocks(); b++ {
-		errFast := c.DecodeBlockFast(b, &out)
+		errFast := c.DecodeBlock(b, &out)
 		errRef := c.DecodeBlockReference(b, &out)
 		if (errFast == nil) != (errRef == nil) {
 			t.Fatalf("block %d: fast err=%v, reference err=%v", b, errFast, errRef)
@@ -258,7 +221,7 @@ func TestFastDecodeTruncationAndMiss(t *testing.T) {
 		if raw {
 			continue
 		}
-		errFast := missC.DecodeBlockFast(b, &out)
+		errFast := missC.DecodeBlock(b, &out)
 		errRef := missC.DecodeBlockReference(b, &out)
 		if (errFast == nil) != (errRef == nil) {
 			t.Fatalf("block %d: fast err=%v, reference err=%v", b, errFast, errRef)

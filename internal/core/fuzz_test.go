@@ -54,7 +54,7 @@ func FuzzDecodeCorruptRegion(f *testing.F) {
 		for b := 0; b < c.NumBlocks(); b++ {
 			// Both decoders must survive corruption; when both accept a
 			// block they must still agree word for word.
-			errFast := c.DecodeBlockFast(b, &out)
+			errFast := c.DecodeBlock(b, &out)
 			errRef := c.DecodeBlockReference(b, &ref)
 			if errFast == nil && errRef == nil && out != ref {
 				t.Fatalf("block %d of corrupted image: fast %x, reference %x", b, out, ref)
@@ -115,10 +115,10 @@ func addProgramSeeds(f *testing.F) {
 
 // FuzzDecodeEquivalence compresses arbitrary programs and asserts the
 // fast table-driven decoder is word-for-word identical to the reference
-// tag walker across every decode entry point: whole-image Decompress,
-// per-block DecodeBlock (including raw and padded tail blocks), and
-// address-wise DecodeAt. This is the CI-enforced invariant that lets the
-// serve path run the fast decoder by default.
+// tag walker on the whole image and per block (including raw and padded
+// tail blocks), and that address-wise DecodeAt returns the source text.
+// This is the CI-enforced invariant that lets the serve path run the
+// fast decoder.
 func FuzzDecodeEquivalence(f *testing.F) {
 	addProgramSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte, trim uint8) {
@@ -167,28 +167,15 @@ func FuzzDecodeEquivalence(f *testing.F) {
 				}
 			}
 		}
-		// Address-wise: DecodeAt under both modes on a sample of addresses.
-		prev := SetDecodeMode(DecodeReference)
-		defer SetDecodeMode(prev)
+		// Address-wise: DecodeAt on a sample of addresses.
 		for _, idx := range []int{0, n / 2, n - 1} {
 			addr := isa.TextBase + uint32(4*idx)
-			wRef, err := c.DecodeAt(addr)
+			w, err := c.DecodeAt(addr)
 			if err != nil {
-				t.Fatalf("reference DecodeAt %#x: %v", addr, err)
+				t.Fatalf("DecodeAt %#x: %v", addr, err)
 			}
-			if wRef != text[idx] {
-				t.Fatalf("reference DecodeAt %#x = %#x, want %#x", addr, wRef, text[idx])
-			}
-		}
-		SetDecodeMode(DecodeFast)
-		for _, idx := range []int{0, n / 2, n - 1} {
-			addr := isa.TextBase + uint32(4*idx)
-			wFast, err := c.DecodeAt(addr)
-			if err != nil {
-				t.Fatalf("fast DecodeAt %#x: %v", addr, err)
-			}
-			if wFast != text[idx] {
-				t.Fatalf("fast DecodeAt %#x = %#x, want %#x", addr, wFast, text[idx])
+			if w != text[idx] {
+				t.Fatalf("DecodeAt %#x = %#x, want %#x", addr, w, text[idx])
 			}
 		}
 	})

@@ -2,101 +2,54 @@ package loadgen
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
 
-// Recorder is an HDR-style latency histogram: log-spaced buckets covering
-// 1µs..2min at ~5% relative precision, so quantiles up to p99.9 come out
-// of a few hundred counters instead of a per-sample slice. The true
-// maximum is tracked exactly.
+// Recorder keeps every latency sample, so quantiles are exact. A run
+// holds one 8-byte sample per measured request.
 type Recorder struct {
-	mu     sync.Mutex
-	counts []uint64
-	n      uint64
-	sum    time.Duration
-	max    time.Duration
+	mu      sync.Mutex
+	samples []time.Duration
+	sum     time.Duration
 }
-
-const (
-	recorderMin    = time.Microsecond
-	recorderMax    = 2 * time.Minute
-	recorderGrowth = 1.05
-)
-
-// recorderBounds[i] is the inclusive upper bound of bucket i.
-var recorderBounds = func() []time.Duration {
-	var bounds []time.Duration
-	for b := float64(recorderMin); b < float64(recorderMax); b *= recorderGrowth {
-		bounds = append(bounds, time.Duration(b))
-	}
-	return append(bounds, recorderMax)
-}()
 
 // NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{counts: make([]uint64, len(recorderBounds)+1)}
-}
+func NewRecorder() *Recorder { return &Recorder{} }
 
-// Observe records one latency. Negative values clamp to zero (bucket 0);
-// values beyond the range land in the overflow bucket but still shape the
-// exact max.
+// Observe records one latency. Negative values (clock skew) clamp to
+// zero.
 func (r *Recorder) Observe(d time.Duration) {
-	i := sort.Search(len(recorderBounds), func(i int) bool { return recorderBounds[i] >= d })
+	d = max(d, 0)
 	r.mu.Lock()
-	r.counts[i]++
-	r.n++
-	if d > 0 {
-		r.sum += d
-	}
-	if d > r.max {
-		r.max = d
-	}
+	r.samples = append(r.samples, d)
+	r.sum += d
 	r.mu.Unlock()
 }
 
-// Quantile returns the latency at quantile q in [0,1]. The answer is the
-// geometric midpoint of the bucket holding the q-th sample (its ~5% width
-// bounds the error); q high enough to select the last recorded sample
-// returns the exact maximum.
+// Quantile returns the nearest-rank latency at quantile q in [0,1]: the
+// smallest sample with at least a q share of samples at or below it.
 func (r *Recorder) Quantile(q float64) time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.quantileLocked(q)
+	sorted, _ := r.sorted()
+	return quantile(sorted, q)
 }
 
-func (r *Recorder) quantileLocked(q float64) time.Duration {
-	if r.n == 0 {
+// sorted returns a sorted copy of the samples, and their sum.
+func (r *Recorder) sorted() ([]time.Duration, time.Duration) {
+	r.mu.Lock()
+	s, sum := slices.Clone(r.samples), r.sum
+	r.mu.Unlock()
+	slices.Sort(s)
+	return s, sum
+}
+
+func quantile(sorted []time.Duration, q float64) time.Duration {
+	if len(sorted) == 0 {
 		return 0
 	}
-	target := uint64(math.Ceil(q * float64(r.n)))
-	if target < 1 {
-		target = 1
-	}
-	if target >= r.n {
-		return r.max
-	}
-	var cum uint64
-	for i, c := range r.counts {
-		cum += c
-		if cum >= target {
-			hi := recorderBounds[len(recorderBounds)-1]
-			if i < len(recorderBounds) {
-				hi = recorderBounds[i]
-			}
-			lo := time.Duration(float64(hi) / recorderGrowth)
-			if i == 0 {
-				lo = 0
-			}
-			mid := time.Duration(math.Sqrt(float64(lo+1) * float64(hi)))
-			if mid > r.max {
-				mid = r.max
-			}
-			return mid
-		}
-	}
-	return r.max
+	rank := int(math.Ceil(q * float64(len(sorted))))
+	return sorted[min(max(rank, 1), len(sorted))-1]
 }
 
 // LatencyStats is the quantile summary of a recorder, in milliseconds
@@ -113,19 +66,18 @@ type LatencyStats struct {
 
 // Snapshot returns one consistent quantile summary.
 func (r *Recorder) Snapshot() LatencyStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	sorted, sum := r.sorted()
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	st := LatencyStats{
-		P50:  ms(r.quantileLocked(0.50)),
-		P90:  ms(r.quantileLocked(0.90)),
-		P99:  ms(r.quantileLocked(0.99)),
-		P999: ms(r.quantileLocked(0.999)),
-		Max:  ms(r.max),
-		N:    r.n,
+		P50:  ms(quantile(sorted, 0.50)),
+		P90:  ms(quantile(sorted, 0.90)),
+		P99:  ms(quantile(sorted, 0.99)),
+		P999: ms(quantile(sorted, 0.999)),
+		Max:  ms(quantile(sorted, 1)),
+		N:    uint64(len(sorted)),
 	}
-	if r.n > 0 {
-		st.Mean = ms(r.sum) / float64(r.n)
+	if len(sorted) > 0 {
+		st.Mean = ms(sum) / float64(len(sorted))
 	}
 	return st
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"iter"
 	"sync"
 	"time"
 )
@@ -172,11 +171,14 @@ func (t *tenantTracker) report(specs map[string]TenantSpec, window time.Duration
 
 // Run drives one scenario open loop and returns its report.
 //
-// Arrival i's intended send time is start + i/QPS, fixed up front; the
-// scheduler sleeps until each instant and enqueues the request whether or
-// not a worker is free. Workers record latency as completion minus
-// *intended* time, so server stalls surface as the queueing delay a
-// schedule-faithful client would have seen (no coordinated omission).
+// The whole request stream is generated before the clock starts, so a
+// scenario's setup (building its corpus) never lands in the first
+// requests' latency. Arrival i's intended send time is start + i/QPS,
+// fixed up front; the scheduler sleeps until each instant and enqueues
+// the request whether or not a worker is free. Workers record latency
+// as completion minus *intended* time, so server stalls surface as the
+// queueing delay a schedule-faithful client would have seen (no
+// coordinated omission).
 // The jobs channel is sized for the whole schedule, so the scheduler
 // itself never blocks on a slow server.
 func Run(ctx context.Context, o Options) (*Report, error) {
@@ -194,6 +196,13 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 	total := int(float64(o.Warmup+o.Duration) / float64(interval))
 	if total < 1 {
 		total = 1
+	}
+	reqs := make([]Request, 0, total)
+	for req := range o.Scenario.Requests(o.Seed) {
+		reqs = append(reqs, req)
+		if len(reqs) == total {
+			break
+		}
 	}
 
 	var before ServerStats
@@ -252,7 +261,6 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 		}()
 	}
 
-	next, stop := iter.Pull(o.Scenario.Requests(o.Seed))
 	sent := 0
 	timer := time.NewTimer(0)
 	defer timer.Stop()
@@ -260,7 +268,7 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 		<-timer.C
 	}
 schedule:
-	for i := 0; i < total; i++ {
+	for i, req := range reqs {
 		intended := start.Add(time.Duration(i) * interval)
 		if d := time.Until(intended); d > 0 {
 			timer.Reset(d)
@@ -272,14 +280,9 @@ schedule:
 		} else if ctx.Err() != nil {
 			break schedule
 		}
-		req, ok := next()
-		if !ok {
-			break
-		}
 		jobs <- job{req: req, intended: intended}
 		sent++
 	}
-	stop()
 	close(jobs)
 	wg.Wait()
 	end := time.Now()

@@ -122,6 +122,44 @@ type execFunc func(ctx context.Context, req Request) (int, error)
 
 func (f execFunc) Do(ctx context.Context, req Request) (int, error) { return f(ctx, req) }
 
+// slowStartScenario stalls before its first request, the way a scenario
+// that builds its corpus inside the iterator does.
+type slowStartScenario struct {
+	stubScenario
+	setup time.Duration
+}
+
+func (s slowStartScenario) Requests(seed int64) iter.Seq[Request] {
+	return func(yield func(Request) bool) {
+		time.Sleep(s.setup)
+		s.stubScenario.Requests(seed)(yield)
+	}
+}
+
+// TestRunGeneratesScheduleBeforeClock: a scenario's setup time must not
+// be charged to the first requests' latency. With an instant executor,
+// a 200ms stall before the first yield would otherwise show up as a
+// 200ms max latency.
+func TestRunGeneratesScheduleBeforeClock(t *testing.T) {
+	exec := execFunc(func(ctx context.Context, req Request) (int, error) { return 200, nil })
+	rep, err := Run(context.Background(), Options{
+		Scenario:    slowStartScenario{stubScenario: stubScenario{op: "compress"}, setup: 200 * time.Millisecond},
+		Executor:    exec,
+		QPS:         200,
+		Duration:    100 * time.Millisecond,
+		Concurrency: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Completed == 0 {
+		t.Fatal("no requests completed")
+	}
+	if rep.Latency.Max >= 100 {
+		t.Fatalf("max latency %.1fms: scenario setup was charged to the requests", rep.Latency.Max)
+	}
+}
+
 // TestRunRecordsErrorsAndStatuses: non-2xx statuses and transport errors
 // are partitioned correctly.
 func TestRunRecordsErrorsAndStatuses(t *testing.T) {
@@ -201,12 +239,12 @@ func TestRunServerDeltas(t *testing.T) {
 func TestRunValidates(t *testing.T) {
 	exec := execFunc(func(ctx context.Context, req Request) (int, error) { return 200, nil })
 	bad := []Options{
-		{Executor: exec, QPS: 100, Duration: time.Second},                               // no scenario
-		{Scenario: stubScenario{}, QPS: 100, Duration: time.Second},                     // no executor
-		{Scenario: stubScenario{}, Executor: exec, Duration: time.Second},               // no qps
-		{Scenario: stubScenario{}, Executor: exec, QPS: 100},                            // no duration
-		{Scenario: stubScenario{}, Executor: exec, QPS: 100, Duration: -1},              // negative
-		{Scenario: stubScenario{}, Executor: exec, QPS: 100, Duration: 1, Warmup: -1},   // negative
+		{Executor: exec, QPS: 100, Duration: time.Second},                             // no scenario
+		{Scenario: stubScenario{}, QPS: 100, Duration: time.Second},                   // no executor
+		{Scenario: stubScenario{}, Executor: exec, Duration: time.Second},             // no qps
+		{Scenario: stubScenario{}, Executor: exec, QPS: 100},                          // no duration
+		{Scenario: stubScenario{}, Executor: exec, QPS: 100, Duration: -1},            // negative
+		{Scenario: stubScenario{}, Executor: exec, QPS: 100, Duration: 1, Warmup: -1}, // negative
 		{Scenario: stubScenario{}, Executor: exec, QPS: 100, Duration: 1, Concurrency: -1},
 	}
 	for i, o := range bad {

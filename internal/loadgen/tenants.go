@@ -69,12 +69,12 @@ func (s tenants) Requests(seed int64) iter.Seq[Request] {
 		bodies := compressBodies(seed, s.corpus)
 		rng := rand.New(rand.NewSource(seed))
 		// Corpus programs halt within microseconds whatever the budget, so
-	// the heavy tenant simulates a calibrated suite benchmark instead:
-	// those run to their committed-instruction budget, pinning a heavy
-	// worker for real milliseconds per call, and the 10:1 skew genuinely
-	// saturates the heavy pool instead of breezing through it.
-	const heavyBudget = 40 * simulateBudget
-	uniq := s.corpus // heavy's unique-digest ids start past the hot set
+		// the heavy tenant simulates a calibrated suite benchmark instead:
+		// those run to their committed-instruction budget, pinning a heavy
+		// worker for real milliseconds per call, and the 10:1 skew genuinely
+		// saturates the heavy pool instead of breezing through it.
+		const heavyBudget = 40 * simulateBudget
+		uniq := s.corpus // heavy's unique-digest ids start past the hot set
 		for i := 0; ; i++ {
 			var req Request
 			if rng.Float64() < s.heavyFrac {

@@ -102,6 +102,17 @@ func (b *breaker) failure() (opened bool) {
 	return false
 }
 
+// release returns an admitted request's half-open probe slot without a
+// verdict, for a caller that gave up before the peer answered: the next
+// request probes instead.
+func (b *breaker) release() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.state == breakerHalfOpen {
+		b.probing = false
+	}
+}
+
 // trip opens the breaker; callers hold b.mu.
 func (b *breaker) trip() {
 	b.state = breakerOpen

@@ -24,7 +24,7 @@ func newTestBreaker(threshold int, cooldown time.Duration) (*breaker, *fakeClock
 func TestBreakerTransitions(t *testing.T) {
 	const cooldown = time.Second
 	type step struct {
-		event string // "fail", "ok", "wait", "allow", "deny"
+		event string // "fail", "ok", "release", "wait", "allow", "deny"
 	}
 	cases := []struct {
 		name  string
@@ -38,6 +38,8 @@ func TestBreakerTransitions(t *testing.T) {
 		{"probe success closes", []string{"fail", "fail", "fail", "wait", "allow", "ok", "allow"}, "closed"},
 		{"probe failure reopens", []string{"fail", "fail", "fail", "wait", "allow", "fail", "deny"}, "open"},
 		{"second probe after reopen cooldown", []string{"fail", "fail", "fail", "wait", "allow", "fail", "wait", "allow", "ok"}, "closed"},
+		{"released probe frees the slot", []string{"fail", "fail", "fail", "wait", "allow", "release", "allow"}, "half-open"},
+		{"release keeps the failure streak", []string{"fail", "fail", "release", "fail", "deny"}, "open"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -48,6 +50,8 @@ func TestBreakerTransitions(t *testing.T) {
 					b.failure()
 				case "ok":
 					b.success()
+				case "release":
+					b.release()
 				case "wait":
 					clk.advance(cooldown + time.Millisecond)
 				case "allow":

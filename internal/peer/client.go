@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"time"
 
@@ -33,51 +32,28 @@ const (
 	HealthPath = "/internal/v1/health"
 )
 
-// maxHealthBytes bounds a peer's health summary response.
-const maxHealthBytes = 1 << 20
+// maxReplyBytes bounds a health summary, offer answer or push reply.
+const maxReplyBytes = 1 << 20
 
 // FetchHealth GETs one member's signed health summary, returning the
 // raw JSON document for the caller to decode (the server owns the
 // schema; the peer layer only moves the bytes). Breaker-gated like
 // every other peer call, one attempt — /debug/cluster reports an
-// unreachable member rather than waiting on retries.
+// unreachable member rather than waiting on it.
 func (c *Cluster) FetchHealth(ctx context.Context, member string) ([]byte, error) {
-	b := c.breakerFor(member)
-	if !b.allow() {
-		c.stats.breakerSkips.Add(1)
-		return nil, fmt.Errorf("peer: breaker open for %s", member)
-	}
-	actx, cancel := context.WithTimeout(ctx, c.cfg.FetchTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodGet, member+HealthPath, nil)
+	b, err := c.admit(member)
 	if err != nil {
 		return nil, err
 	}
-	c.setTraceHeader(req, ctx)
-	c.signRequest(req, nil)
-	resp, err := c.client.Do(req)
+	resp, body, err := c.call(ctx, http.MethodGet, member, HealthPath, "", nil, maxReplyBytes)
 	if err != nil {
 		c.noteFailure(member, b)
 		return nil, err
 	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
+	c.noteReply(member, b, resp.StatusCode)
 	if resp.StatusCode != http.StatusOK {
-		if resp.StatusCode >= 500 {
-			c.noteFailure(member, b)
-		} else {
-			c.noteSuccess(member, b)
-		}
 		return nil, fmt.Errorf("peer: health returned %d", resp.StatusCode)
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxHealthBytes))
-	if err != nil {
-		c.noteFailure(member, b)
-		return nil, err
-	}
-	c.noteSuccess(member, b)
 	return body, nil
 }
 
@@ -93,17 +69,18 @@ const (
 	// FetchMiss: the owner answered definitively that it does not hold
 	// the digest.
 	FetchMiss
-	// FetchUnavailable: the owner could not be asked — breaker open, or
-	// every attempt failed.
+	// FetchUnavailable: no replica could be asked — breakers open, every
+	// request failed, or the caller's context ended.
 	FetchUnavailable
 )
 
 // Fetch asks digest's replica set for its cached payload, walking the
-// successor list in placement order: a replica whose breaker is open is
-// skipped outright, a replica that cannot be reached, answers 404 or
-// serves a payload failing the caller's verify falls through to the
-// next. verify (nil = accept) must be a pure check — Fetch itself
-// charges a failed verification to the replica's breaker.
+// successor list in placement order, one request per replica: a replica
+// whose breaker is open is skipped outright, a replica that cannot be
+// reached, answers 404 or serves a payload failing the caller's verify
+// falls through to the next. verify (nil = accept) must be a pure check
+// — Fetch itself charges a failed verification to the replica's
+// breaker. A caller whose context ends stops the walk.
 //
 // It returns the payload (FetchHit only), the serving replica's URL,
 // and the outcome; FetchSelf means the replica set holds no one but
@@ -124,34 +101,31 @@ func (c *Cluster) Fetch(ctx context.Context, digest string, verify func(owner st
 	missed := "" // first replica that answered a clean 404
 	for ri, owner := range remote {
 		b := c.breakerFor(owner)
+		// The replica span's ID rides the request, so the owner's
+		// peer_get trace parents on it.
 		rctx, rs := trace.Start(ctx, "peer-replica",
 			trace.String("owner", owner),
 			trace.Int("replica", ri+1),
 			trace.String("breaker", b.snapshot().State))
-		payload, found, outcome := c.fetchReplica(rctx, owner, digest, b)
-		if outcome == "hit" && verify != nil && !verify(owner, payload) {
-			// The replica served bytes that are not the program the digest
-			// names: charge its breaker like any other failure and try the
-			// next replica.
-			c.noteFailure(owner, b)
-			c.stats.fetchErrors.Add(1)
-			outcome = "verify-failed"
-			payload, found = nil, false
-		}
+		payload, outcome, err := c.fetchReplica(rctx, owner, digest, b, verify)
 		rs.SetAttr("outcome", outcome)
+		if err != nil {
+			rs.SetAttr("err", err.Error())
+		}
 		rs.End()
-		if found {
+		switch outcome {
+		case "hit":
 			c.stats.fetchHits.Add(1)
 			if ri > 0 {
 				c.stats.replicaFallthroughs.Add(1)
 			}
 			fs.SetAttr("outcome", "hit")
 			return payload, owner, FetchHit
-		}
-		if outcome == "miss" && missed == "" {
-			missed = owner
-		}
-		if outcome == "canceled" {
+		case "miss":
+			if missed == "" {
+				missed = owner
+			}
+		case "canceled":
 			fs.SetAttr("outcome", "canceled")
 			return nil, owner, FetchUnavailable
 		}
@@ -167,90 +141,46 @@ func (c *Cluster) Fetch(ctx context.Context, digest string, verify func(owner st
 	return nil, remote[0], FetchUnavailable
 }
 
-// fetchReplica runs the retry loop against one replica. outcome is one
-// of "hit", "miss", "breaker-skip", "canceled", "unavailable"; found is
-// true only for a hit.
-func (c *Cluster) fetchReplica(ctx context.Context, owner, digest string, b *breaker) (payload []byte, found bool, outcome string) {
+// fetchReplica GETs digest from one replica, once. outcome is one of
+// "hit", "miss", "breaker-skip", "verify-failed", "canceled" or
+// "unavailable"; payload is set only for a hit. The replica is charged
+// for a transport error, any status but 200 or 404, a checksum mismatch
+// or a failed verify, and credited only once its payload passed both
+// checks. A request cut short by the caller's own context says nothing
+// about the replica, so it is neither charged nor counted as an error.
+func (c *Cluster) fetchReplica(ctx context.Context, owner, digest string, b *breaker, verify func(string, []byte) bool) (payload []byte, outcome string, err error) {
 	if !b.allow() {
 		c.stats.breakerSkips.Add(1)
-		return nil, false, "breaker-skip"
+		return nil, "breaker-skip", nil
 	}
-	attempts := 1 + c.cfg.Retries
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			if !sleepCtx(ctx, backoff(c.cfg.BackoffBase, i-1)) {
-				c.stats.fetchErrors.Add(1)
-				return nil, false, "canceled"
-			}
-			// Re-check the breaker between attempts: another request's
-			// failures may have tripped it while we were backing off.
-			if !b.allow() {
-				c.stats.breakerSkips.Add(1)
-				return nil, false, "breaker-skip"
-			}
-		}
-		actx, as := trace.Start(ctx, "peer-attempt",
-			trace.Int("attempt", i+1),
-			trace.String("breaker", b.snapshot().State))
-		payload, ok, err := c.fetchOnce(actx, owner, digest)
-		if err != nil {
-			as.SetAttr("err", err.Error())
-			as.End()
-			c.noteFailure(owner, b)
-			c.stats.fetchErrors.Add(1)
-			c.log.Debug("peer fetch attempt failed",
-				"peer", owner, "digest", digest, "attempt", i+1, "err", err)
-			continue
-		}
-		as.End()
+	resp, body, err := c.call(ctx, http.MethodGet, owner, CachePathPrefix+digest, "", nil, maxPayloadBytes)
+	switch {
+	case err != nil && ctx.Err() != nil:
+		b.release()
+		return nil, "canceled", err
+	case err != nil:
+	case resp.StatusCode == http.StatusNotFound:
 		c.noteSuccess(owner, b)
-		if !ok {
-			c.stats.fetchMisses.Add(1)
-			return nil, false, "miss"
-		}
-		return payload, true, "hit"
-	}
-	return nil, false, "unavailable"
-}
-
-// fetchOnce is one GET against the owner. found=false reports a clean
-// 404 (the peer is healthy, it just lacks the entry).
-func (c *Cluster) fetchOnce(ctx context.Context, owner, digest string) (payload []byte, found bool, err error) {
-	actx, cancel := context.WithTimeout(ctx, c.cfg.FetchTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodGet, owner+CachePathPrefix+digest, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	c.setTraceHeader(req, ctx)
-	c.signRequest(req, nil)
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return nil, false, err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusNotFound:
-		return nil, false, nil
+		c.stats.fetchMisses.Add(1)
+		return nil, "miss", nil
+	case resp.StatusCode != http.StatusOK:
+		err = fmt.Errorf("peer: owner returned %d", resp.StatusCode)
+	case resp.Header.Get(SumHeader) != payloadSum(body):
+		err = fmt.Errorf("peer: payload checksum mismatch (header %q)", resp.Header.Get(SumHeader))
+	case verify != nil && !verify(owner, body):
+		// The replica served bytes that are not the program the digest
+		// names.
+		c.noteFailure(owner, b)
+		c.stats.fetchErrors.Add(1)
+		return nil, "verify-failed", nil
 	default:
-		return nil, false, fmt.Errorf("peer: owner returned %d", resp.StatusCode)
+		c.noteSuccess(owner, b)
+		return body, "hit", nil
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxPayloadBytes+1))
-	if err != nil {
-		return nil, false, err
-	}
-	if len(body) > maxPayloadBytes {
-		return nil, false, fmt.Errorf("peer: payload exceeds %d bytes", maxPayloadBytes)
-	}
-	sum := sha256.Sum256(body)
-	if got := resp.Header.Get(SumHeader); got != hex.EncodeToString(sum[:]) {
-		return nil, false, fmt.Errorf("peer: payload checksum mismatch (header %q)", got)
-	}
-	return body, true, nil
+	c.noteFailure(owner, b)
+	c.stats.fetchErrors.Add(1)
+	c.log.Debug("peer fetch failed", "peer", owner, "digest", digest, "err", err)
+	return nil, "unavailable", err
 }
 
 // Replicate enqueues an async best-effort push of a newly compressed
@@ -339,41 +269,20 @@ func (c *Cluster) push(ctx context.Context, owner, digest string, payload []byte
 		}
 		ps.End()
 	}()
-	b := c.breakerFor(owner)
-	if !b.allow() {
-		c.stats.breakerSkips.Add(1)
-		return fmt.Errorf("peer: breaker open for %s", owner)
+	b, err := c.admit(owner)
+	if err != nil {
+		return err
 	}
-	actx, cancel := context.WithTimeout(ctx, c.cfg.FetchTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodPut,
-		owner+CachePathPrefix+digest, bytes.NewReader(payload))
+	resp, _, err := c.call(ctx, http.MethodPut, owner, CachePathPrefix+digest,
+		"application/octet-stream", payload, maxReplyBytes)
 	if err != nil {
 		c.noteFailure(owner, b)
 		return err
 	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	sum := sha256.Sum256(payload)
-	req.Header.Set(SumHeader, hex.EncodeToString(sum[:]))
-	c.setTraceHeader(req, ctx)
-	c.signRequest(req, payload)
-	resp, err := c.client.Do(req)
-	if err != nil {
-		c.noteFailure(owner, b)
-		return err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+	c.noteReply(owner, b, resp.StatusCode)
 	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		// The peer answered, so it is alive; only 5xx counts against it.
-		if resp.StatusCode >= 500 {
-			c.noteFailure(owner, b)
-		} else {
-			c.noteSuccess(owner, b)
-		}
 		return fmt.Errorf("peer: replication target returned %d", resp.StatusCode)
 	}
-	c.noteSuccess(owner, b)
 	return nil
 }
 
@@ -441,49 +350,69 @@ func (c *Cluster) offer(ctx context.Context, owner string, digests []string) (wa
 		}
 		os.End()
 	}()
-	b := c.breakerFor(owner)
-	if !b.allow() {
-		c.stats.breakerSkips.Add(1)
-		return nil, fmt.Errorf("peer: breaker open for %s", owner)
-	}
 	body, err := json.Marshal(offerRequest{Digests: digests})
 	if err != nil {
 		return nil, err
 	}
-	actx, cancel := context.WithTimeout(ctx, c.cfg.FetchTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodPost, owner+OfferPath, bytes.NewReader(body))
+	b, err := c.admit(owner)
+	if err != nil {
+		return nil, err
+	}
+	resp, reply, err := c.call(ctx, http.MethodPost, owner, OfferPath, "application/json", body, maxReplyBytes)
 	if err != nil {
 		c.noteFailure(owner, b)
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	c.setTraceHeader(req, ctx)
-	c.signRequest(req, body)
-	resp, err := c.client.Do(req)
-	if err != nil {
-		c.noteFailure(owner, b)
-		return nil, err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
 	if resp.StatusCode != http.StatusOK {
-		if resp.StatusCode >= 500 {
-			c.noteFailure(owner, b)
-		} else {
-			c.noteSuccess(owner, b)
-		}
+		c.noteReply(owner, b, resp.StatusCode)
 		return nil, fmt.Errorf("peer: offer returned %d", resp.StatusCode)
 	}
 	var or offerResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&or); err != nil {
+	if err := json.Unmarshal(reply, &or); err != nil {
 		c.noteFailure(owner, b)
 		return nil, err
 	}
 	c.noteSuccess(owner, b)
 	return or.Want, nil
+}
+
+// call sends one request to member and returns the response with its
+// body read (at most limit bytes) and closed. It applies FetchTimeout
+// to the whole exchange, forwards the trace headers, signs the request
+// and, when there is a body, labels it with contentType and its SHA-256.
+// An error means no complete answer arrived — a transport failure, a
+// timeout, or an unreadable or oversized reply. Judging the status, and
+// charging or crediting the member's breaker, is the caller's job.
+func (c *Cluster) call(ctx context.Context, method, member, path, contentType string, body []byte, limit int64) (*http.Response, []byte, error) {
+	actx, cancel := context.WithTimeout(ctx, c.cfg.FetchTimeout)
+	defer cancel()
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(actx, method, member+path, rd)
+	if err != nil {
+		return nil, nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", contentType)
+		req.Header.Set(SumHeader, payloadSum(body))
+	}
+	c.setTraceHeader(req, ctx)
+	c.signRequest(req, body)
+	resp, err := c.client.Do(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer resp.Body.Close()
+	reply, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	if err != nil {
+		return nil, nil, err
+	}
+	if int64(len(reply)) > limit {
+		return nil, nil, fmt.Errorf("peer: %s %s reply exceeds %d bytes", method, path, limit)
+	}
+	return resp, reply, nil
 }
 
 // setTraceHeader forwards the originating request's trace ID (minting
@@ -526,22 +455,8 @@ func shortDigest(d string) string {
 	return d
 }
 
-// backoff returns the nth retry delay: base doubled per step with up to
-// 50% added jitter, so synchronized retry storms de-correlate.
-func backoff(base time.Duration, n int) time.Duration {
-	d := base << uint(n)
-	return d + time.Duration(rand.Int63n(int64(d)/2+1))
-}
-
-// sleepCtx sleeps for d or until ctx ends; it reports whether the full
-// sleep completed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
+// payloadSum is the hex SHA-256 a payload travels with in SumHeader.
+func payloadSum(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }

@@ -84,8 +84,6 @@ func newTestCluster(t *testing.T, peerURL string, tweak func(*Config)) *Cluster 
 		Self:              "http://self.invalid:1",
 		Peers:             []string{peerURL},
 		FetchTimeout:      2 * time.Second,
-		Retries:           1,
-		BackoffBase:       time.Millisecond,
 		BreakerThreshold:  2,
 		BreakerCooldown:   50 * time.Millisecond,
 		HeartbeatInterval: time.Hour,
@@ -178,44 +176,13 @@ func TestFetchHitMissAndSelf(t *testing.T) {
 	}
 }
 
-func TestFetchRetriesThenSucceeds(t *testing.T) {
-	src := newMemSource()
-	inner := mountHandler(NewHandler(src, quiet()))
-	var calls atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, MembershipPathPrefix) {
-			http.NotFound(w, r) // startup join burst; not under test here
-			return
-		}
-		if calls.Add(1) == 1 {
-			http.Error(w, "transient", http.StatusInternalServerError)
-			return
-		}
-		inner.ServeHTTP(w, r)
-	}))
-	defer ts.Close()
-	c := newTestCluster(t, ts.URL, nil)
-
-	d := peerOwnedDigest(t, c, "retry")
-	src.Accept(d, []byte("v"))
-	if _, _, out := c.Fetch(context.Background(), d, nil); out != FetchHit {
-		t.Fatalf("outcome = %d, want FetchHit on second attempt", out)
-	}
-	if calls.Load() != 2 {
-		t.Errorf("owner saw %d calls, want 2 (one failure, one retry)", calls.Load())
-	}
-	if st := c.Stats(); st.FetchErrors != 1 || st.FetchHits != 1 {
-		t.Errorf("stats %+v, want 1 error + 1 hit", st)
-	}
-}
-
 func TestFetchRejectsChecksumMismatch(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(SumHeader, testDigestOf([]byte("something else")))
 		w.Write([]byte("actual body"))
 	}))
 	defer ts.Close()
-	c := newTestCluster(t, ts.URL, func(cfg *Config) { cfg.Retries = -1 })
+	c := newTestCluster(t, ts.URL, nil)
 
 	d := peerOwnedDigest(t, c, "sum")
 	if _, _, out := c.Fetch(context.Background(), d, nil); out != FetchUnavailable {
@@ -223,6 +190,100 @@ func TestFetchRejectsChecksumMismatch(t *testing.T) {
 	}
 	if st := c.Stats(); st.FetchErrors == 0 {
 		t.Error("checksum mismatch not counted as a fetch error")
+	}
+}
+
+// TestFetchCanceledChargesNoBreaker: a fetch cut short by the caller's
+// own deadline says nothing about the owner, so it charges no breaker
+// and counts no fetch error — otherwise a few client-side cancels in a
+// row would open a healthy peer's breaker and mark it suspect.
+func TestFetchCanceledChargesNoBreaker(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, CachePathPrefix) {
+			<-r.Context().Done() // the owner stalls until the caller gives up
+			return
+		}
+		http.NotFound(w, r)
+	}))
+	defer ts.Close()
+	c := newTestCluster(t, ts.URL, nil)
+
+	d := peerOwnedDigest(t, c, "cancel")
+	for i := 0; i < 3; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		_, _, out := c.Fetch(ctx, d, nil)
+		cancel()
+		if out != FetchUnavailable {
+			t.Fatalf("fetch %d: outcome = %d, want FetchUnavailable", i, out)
+		}
+	}
+	if h := c.Health(); len(h) != 1 || h[0].Fails != 0 || h[0].State != "closed" {
+		t.Errorf("owner health after canceled fetches = %+v, want closed with 0 failures", h)
+	}
+	if st := c.Stats(); st.FetchErrors != 0 {
+		t.Errorf("fetch errors = %d, want 0 for canceled fetches", st.FetchErrors)
+	}
+}
+
+// TestFetchVerifyFailuresTripBreaker: a replica whose payloads keep
+// failing the caller's verification is charged once per fetch and never
+// credited first, so its breaker opens at the threshold.
+func TestFetchVerifyFailuresTripBreaker(t *testing.T) {
+	src := newMemSource()
+	ts := httptest.NewServer(mountHandler(NewHandler(src, quiet())))
+	defer ts.Close()
+	c := newTestCluster(t, ts.URL, nil) // threshold 2
+	d := peerOwnedDigest(t, c, "impostor")
+	src.Accept(d, []byte("not the program"))
+
+	reject := func(string, []byte) bool { return false }
+	for i := 0; i < 2; i++ {
+		if _, _, out := c.Fetch(context.Background(), d, reject); out != FetchUnavailable {
+			t.Fatalf("fetch %d: outcome = %d, want FetchUnavailable", i, out)
+		}
+	}
+	if h := c.Health(); len(h) != 1 || h[0].State != "open" {
+		t.Fatalf("health after failed verifications = %+v, want open", h)
+	}
+	if st := c.Stats(); st.FetchErrors != 2 || st.FetchHits != 0 {
+		t.Errorf("stats %+v, want 2 errors and 0 hits", st)
+	}
+}
+
+// TestCallLabelsRequests pins the one outbound request path: trace and
+// content headers, a SHA-256 on every body, and an oversized reply
+// reported as an error.
+func TestCallLabelsRequests(t *testing.T) {
+	var got atomic.Value
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, MembershipPathPrefix) {
+			http.NotFound(w, r)
+			return
+		}
+		got.Store(r.Header.Clone())
+		w.Write([]byte("12345678"))
+	}))
+	defer ts.Close()
+	c := newTestCluster(t, ts.URL, nil)
+	ctx := trace.WithID(context.Background(), "req-call-1")
+
+	body := []byte(`{"digests":[]}`)
+	resp, reply, err := c.call(ctx, http.MethodPost, ts.URL, "/x", "application/json", body, 8)
+	if err != nil || resp.StatusCode != http.StatusOK || string(reply) != "12345678" {
+		t.Fatalf("call = (%v, %q, %v), want 200 with the 8-byte reply", resp, reply, err)
+	}
+	h := got.Load().(http.Header)
+	if h.Get(SumHeader) != testDigestOf(body) || h.Get("Content-Type") != "application/json" ||
+		h.Get(trace.Header) != "req-call-1" {
+		t.Errorf("POST headers = %v, want body sum, content type and trace ID", h)
+	}
+
+	if _, _, err := c.call(ctx, http.MethodGet, ts.URL, "/x", "", nil, 7); err == nil {
+		t.Error("a reply over the limit was not an error")
+	}
+	h = got.Load().(http.Header)
+	if h.Get(SumHeader) != "" || h.Get("Content-Type") != "" {
+		t.Errorf("GET without a body carried body headers: %v", h)
 	}
 }
 
@@ -244,7 +305,6 @@ func TestBreakerCutsOffDeadPeerAndRecovers(t *testing.T) {
 	}))
 	defer ts.Close()
 	c := newTestCluster(t, ts.URL, func(cfg *Config) {
-		cfg.Retries = -1
 		cfg.BreakerThreshold = 2
 		cfg.BreakerCooldown = 30 * time.Millisecond
 	})
@@ -439,8 +499,6 @@ func newReplicatedCluster(t *testing.T, urlA, urlB string, tweak func(*Config)) 
 		Peers:             []string{urlA, urlB},
 		ReplicationFactor: 2,
 		FetchTimeout:      2 * time.Second,
-		Retries:           -1,
-		BackoffBase:       time.Millisecond,
 		BreakerThreshold:  2,
 		BreakerCooldown:   50 * time.Millisecond,
 		HeartbeatInterval: time.Hour,

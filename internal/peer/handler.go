@@ -1,8 +1,6 @@
 package peer
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"io"
 	"log/slog"
@@ -69,9 +67,8 @@ func (h *Handler) Get(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "not cached", http.StatusNotFound)
 		return
 	}
-	sum := sha256.Sum256(payload)
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set(SumHeader, hex.EncodeToString(sum[:]))
+	w.Header().Set(SumHeader, payloadSum(payload))
 	w.Write(payload)
 }
 
@@ -95,8 +92,7 @@ func (h *Handler) Put(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "payload too large", http.StatusRequestEntityTooLarge)
 		return
 	}
-	sum := sha256.Sum256(payload)
-	if got := r.Header.Get(SumHeader); got != hex.EncodeToString(sum[:]) {
+	if r.Header.Get(SumHeader) != payloadSum(payload) {
 		http.Error(w, "payload checksum mismatch", http.StatusBadRequest)
 		return
 	}

@@ -136,27 +136,14 @@ func (c *Cluster) exchange(ctx context.Context, target, path string) (changed bo
 	if err != nil {
 		return false, err
 	}
-	actx, cancel := context.WithTimeout(ctx, c.cfg.FetchTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodPost, target+path, bytes.NewReader(body))
+	resp, raw, err := c.call(ctx, http.MethodPost, target, path, "application/json", body, maxMembershipBody)
 	if err != nil {
 		return false, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	c.setTraceHeader(req, ctx)
-	c.signRequest(req, body)
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return false, err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
 	if resp.StatusCode != http.StatusOK {
 		return false, fmt.Errorf("peer: %s to %s returned %d", path, target, resp.StatusCode)
 	}
-	reply, err := DecodeMembershipMsg(resp.Body)
+	reply, err := DecodeMembershipMsg(bytes.NewReader(raw))
 	if err != nil {
 		return false, err
 	}
@@ -182,23 +169,10 @@ func (c *Cluster) announceLeave(ctx context.Context, view []MemberInfo) {
 		if sent >= c.cfg.GossipFanout {
 			break
 		}
-		actx, cancel := context.WithTimeout(ctx, c.cfg.FetchTimeout)
-		req, err := http.NewRequestWithContext(actx, http.MethodPost,
-			m.URL+LeavePath, bytes.NewReader(body))
-		if err != nil {
-			cancel()
-			continue
-		}
-		req.Header.Set("Content-Type", "application/json")
-		c.signRequest(req, body)
-		resp, err := c.client.Do(req)
-		cancel()
-		if err != nil {
+		if _, _, err := c.call(ctx, http.MethodPost, m.URL, LeavePath, "application/json", body, maxMembershipBody); err != nil {
 			c.log.Debug("leave announcement failed", "peer", m.URL, "err", err)
 			continue
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
 		sent++
 	}
 }

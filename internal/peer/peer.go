@@ -23,13 +23,14 @@
 // is resolved when the push is sent, so queued replications drain to
 // the owners of the ring as it is then.
 //
-// Failure handling is local and bounded: per-attempt timeouts, a small
-// number of retries with jittered backoff, and a per-peer circuit
-// breaker that opens after consecutive failures (requests then skip the
-// peer entirely and fall back to local compression) and probes the peer
-// back to health after a cooldown. A breaker opening also feeds the
-// failure detector: the peer is marked suspect immediately rather than
-// waiting out the full silence window.
+// Failure handling is local and bounded: every outbound call is one
+// request under a per-request timeout, with no retries (a fetch that
+// fails falls through to the next replica, then to local compression),
+// and a per-peer circuit breaker opens after consecutive failures
+// (requests then skip the peer entirely) and probes the peer back to
+// health after a cooldown. A breaker opening also feeds the failure
+// detector: the peer is marked suspect immediately rather than waiting
+// out the full silence window.
 //
 // Trust: the transport checks an end-to-end SHA-256 of every payload
 // (the same per-record sum the durable store uses), and the caller in
@@ -55,8 +56,6 @@ import (
 // Defaults for Config zero values.
 const (
 	DefaultFetchTimeout       = 2 * time.Second
-	DefaultRetries            = 1
-	DefaultBackoffBase        = 25 * time.Millisecond
 	DefaultBreakerThreshold   = 3
 	DefaultBreakerCooldown    = 5 * time.Second
 	DefaultReplicationQueue   = 256
@@ -92,14 +91,10 @@ type Config struct {
 	// above the live member count degrades gracefully to all members.
 	ReplicationFactor int
 
-	// FetchTimeout bounds one fetch, replication or membership attempt.
+	// FetchTimeout bounds one whole peer request: a fetch from one
+	// replica, a replication push, an offer, a health pull or a
+	// membership exchange.
 	FetchTimeout time.Duration
-	// Retries is the number of extra attempts after the first for an
-	// owner fetch (negative = none).
-	Retries int
-	// BackoffBase is the first retry's backoff; it doubles per attempt
-	// with up to 50% added jitter.
-	BackoffBase time.Duration
 
 	// BreakerThreshold is the consecutive-failure count that opens a
 	// peer's circuit breaker; BreakerCooldown how long it stays open
@@ -163,14 +158,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FetchTimeout <= 0 {
 		c.FetchTimeout = DefaultFetchTimeout
-	}
-	if c.Retries == 0 {
-		c.Retries = DefaultRetries
-	} else if c.Retries < 0 {
-		c.Retries = 0
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = DefaultBackoffBase
 	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = DefaultBreakerThreshold
@@ -395,6 +382,27 @@ func (c *Cluster) breakerFor(url string) *breaker {
 		c.breakers[url] = b
 	}
 	return b
+}
+
+// admit returns member's breaker if it lets a request through, and
+// counts a skip otherwise.
+func (c *Cluster) admit(member string) (*breaker, error) {
+	b := c.breakerFor(member)
+	if !b.allow() {
+		c.stats.breakerSkips.Add(1)
+		return nil, fmt.Errorf("peer: breaker open for %s", member)
+	}
+	return b, nil
+}
+
+// noteReply records a peer's answer on its breaker: the peer answered,
+// so it is alive, and only a 5xx counts against it.
+func (c *Cluster) noteReply(url string, b *breaker, status int) {
+	if status >= 500 {
+		c.noteFailure(url, b)
+	} else {
+		c.noteSuccess(url, b)
+	}
 }
 
 // noteSuccess records a completed exchange with a peer on its breaker
@@ -628,12 +636,4 @@ func (c *Cluster) ReplQueueOldestAge() time.Duration {
 		return 0
 	}
 	return time.Since(c.qtimes[0])
-}
-
-// ReportBadPayload records that owner served a payload that failed the
-// caller's verification — it counts as a breaker failure exactly like a
-// transport error, so a peer serving garbage gets cut off.
-func (c *Cluster) ReportBadPayload(owner string) {
-	c.noteFailure(owner, c.breakerFor(owner))
-	c.stats.fetchErrors.Add(1)
 }

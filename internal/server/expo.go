@@ -241,7 +241,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if c := s.cluster; c != nil {
 		st := c.Stats()
 		x.family("cpackd_peer_hits_total", "counter", "Cache fills served by a peer (verified).")
-		x.counter("cpackd_peer_hits_total", "", m.peerHits.value())
+		x.counter("cpackd_peer_hits_total", "", st.FetchHits)
 		x.family("cpackd_peer_misses_total", "counter", "Warm-tier lookups the owner answered empty.")
 		x.counter("cpackd_peer_misses_total", "", m.peerMisses.value())
 		x.family("cpackd_peer_errors_total", "counter", "Peer fetch failures, breaker skips and failed payload verifications.")
@@ -257,7 +257,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		x.family("cpackd_peer_ring_epoch", "gauge", "Membership version the current ring reflects.")
 		x.counter("cpackd_peer_ring_epoch", "", c.RingEpoch())
 		x.family("cpackd_peer_ring_changes_total", "counter", "Ring rebuilds driven by membership changes.")
-		x.counter("cpackd_peer_ring_changes_total", "", m.ringChanges.value())
+		x.counter("cpackd_peer_ring_changes_total", "", st.RingChanges)
 		x.family("cpackd_peer_antientropy_passes_total", "counter", "Anti-entropy passes completed (startup + ring changes).")
 		x.counter("cpackd_peer_antientropy_passes_total", "", m.aePasses.value())
 		x.family("cpackd_peer_heartbeats_total", "counter", "Successful membership gossip exchanges sent.")
@@ -270,8 +270,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		x.gaugeInt("cpackd_peer_replica_factor", "", int64(c.ReplicationFactor()))
 		x.family("cpackd_peer_replica_fallthroughs_total", "counter", "Warm-tier hits served by a later replica after the first choice failed.")
 		x.counter("cpackd_peer_replica_fallthroughs_total", "", st.ReplicaFallthroughs)
-		x.family("cpackd_peer_fetch_duration_seconds", "histogram", "Warm-tier owner-fetch latency (breaker skips included).")
-		x.histogram("cpackd_peer_fetch_duration_seconds", "", m.peerFetch.snapshot(), m.peerFetch.exemplarView())
 		x.family("cpackd_peer_breaker_state", "gauge", "Per-peer breaker state: 0 closed, 1 half-open, 2 open.")
 		health := c.Health()
 		for _, h := range health {

@@ -17,8 +17,6 @@ func dynamicPeerConfig(self string, seeds ...string) *peer.Config {
 		Self:              self,
 		Peers:             seeds,
 		FetchTimeout:      500 * time.Millisecond,
-		Retries:           -1,
-		BackoffBase:       time.Millisecond,
 		BreakerThreshold:  2,
 		BreakerCooldown:   50 * time.Millisecond,
 		HeartbeatInterval: 25 * time.Millisecond,

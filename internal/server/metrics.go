@@ -201,20 +201,16 @@ type metrics struct {
 
 	coalesced counter // compressions served by riding an in-flight fill
 
-	// Warm-tier counters (only exported while a cluster is configured).
-	peerHits    counter // peer-served payloads that verified and were used
-	peerMisses  counter // owner definitively lacked the digest
-	peerErrors  counter // fetch failures, breaker skips, failed verifications
-	ringChanges counter // ring rebuilds driven by membership changes
-	aePasses    counter // anti-entropy passes completed (startup + ring changes)
+	// Warm-tier counters (only exported while a cluster is configured);
+	// hits and ring changes are read from the cluster's own stats.
+	peerMisses counter // owner definitively lacked the digest
+	peerErrors counter // fetch failures, breaker skips, failed verifications
+	aePasses   counter // anti-entropy passes completed (startup + ring changes)
 
 	// Stage histograms: one per span name, fed by the tracer's OnSpanEnd
 	// hook, so every traced pipeline stage gets a duration distribution.
-	// peerFetch duplicates the "peer-fetch" stage under its own metric
-	// name — the warm tier's headline latency.
-	stageMu   sync.Mutex
-	stages    map[string]*histogram
-	peerFetch histogram
+	stageMu sync.Mutex
+	stages  map[string]*histogram
 }
 
 func newMetrics() *metrics {
@@ -240,9 +236,6 @@ func (m *metrics) observeStage(name string, d time.Duration, traceID string) {
 	}
 	m.stageMu.Unlock()
 	h.observeTraced(d.Seconds(), traceID)
-	if name == "peer-fetch" {
-		m.peerFetch.observeTraced(d.Seconds(), traceID)
-	}
 }
 
 // stageNames returns the observed stage names, sorted.
@@ -397,18 +390,19 @@ func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 		snap.Cpackd.CacheStore = &ss
 	}
 	if c := s.cluster; c != nil {
+		st := c.Stats()
 		snap.Cpackd.Peer = &peerVars{
 			Self:       c.Self(),
 			Members:    c.Members(),
 			RingEpoch:  c.RingEpoch(),
 			Membership: c.MembershipView(),
-			Hits:       s.metrics.peerHits.value(),
+			Hits:       st.FetchHits,
 			Misses:     s.metrics.peerMisses.value(),
 			Errors:     s.metrics.peerErrors.value(),
 			AEPasses:   s.metrics.aePasses.value(),
 			ReplQueue:  c.ReplQueueDepth(),
 			ReplOldest: c.ReplQueueOldestAge().Seconds(),
-			Cluster:    c.Stats(),
+			Cluster:    st,
 			Breakers:   c.Health(),
 		}
 	}

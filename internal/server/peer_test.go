@@ -32,8 +32,8 @@ func reserveURL(t *testing.T) (net.Listener, string) {
 	return ln, "http://" + ln.Addr().String()
 }
 
-// fastPeerConfig keeps cluster tests snappy: tight timeouts, one retry,
-// a two-failure breaker with a short cooldown. The membership loop is
+// fastPeerConfig keeps cluster tests snappy: tight timeouts, a
+// two-failure breaker with a short cooldown. The membership loop is
 // made quiescent (hour-scale heartbeats and timeouts) so these tests
 // exercise the static seed topology; dynamic membership has its own
 // tests.
@@ -42,8 +42,6 @@ func fastPeerConfig(self string, peers ...string) *peer.Config {
 		Self:              self,
 		Peers:             peers,
 		FetchTimeout:      500 * time.Millisecond,
-		Retries:           -1,
-		BackoffBase:       time.Millisecond,
 		BreakerThreshold:  2,
 		BreakerCooldown:   50 * time.Millisecond,
 		HeartbeatInterval: time.Hour,

@@ -189,10 +189,10 @@ func (c Config) withDefaults() Config {
 // Server is the cpackd HTTP service. Create with New, expose via Handler,
 // and Close on shutdown to drain in-flight work.
 type Server struct {
-	cfg     Config
-	log     *slog.Logger
-	light   *pool
-	heavy   *pool
+	cfg      Config
+	log      *slog.Logger
+	light    *pool
+	heavy    *pool
 	cache    *compCache
 	suite    *harness.Suite
 	metrics  *metrics
@@ -327,7 +327,6 @@ func (s *Server) joinCluster(pc peer.Config) error {
 	}
 	aeCh := make(chan uint64, 1)
 	pc.OnRingChange = func(epoch uint64, members []string) {
-		s.metrics.ringChanges.add(1)
 		select {
 		case aeCh <- epoch:
 		default: // a pass is already pending; it will see the newest ring
@@ -945,7 +944,6 @@ func (s *Server) fillMiss(ctx context.Context, digest string, im *codepack.Image
 		})
 		switch outcome {
 		case peer.FetchHit:
-			s.metrics.peerHits.add(1)
 			s.cache.put(digest, comp)
 			s.log.Debug("warm-tier hit", "digest", digest, "peer", owner)
 			return comp, true, nil

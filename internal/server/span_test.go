@@ -89,7 +89,10 @@ func TestCompressMissSpanTree(t *testing.T) {
 	if tr.RemoteParent != "" {
 		t.Errorf("standalone request has remote parent %q", tr.RemoteParent)
 	}
-	for _, probe := range []struct{ span, attr string; want any }{
+	for _, probe := range []struct {
+		span, attr string
+		want       any
+	}{
 		{"cache-lookup", "outcome", "miss"},
 		{"cache-recheck", "outcome", "miss"},
 		{"handler", "status", http.StatusOK},
@@ -103,7 +106,7 @@ func TestCompressMissSpanTree(t *testing.T) {
 // TestSpanPropagatesAcrossPeerFetch stitches a cross-node trace: a miss
 // on the non-owner fetches from the owner carrying X-Cpackd-Span, so the
 // owner's peer_get trace shares the trace ID and is remote-parented on
-// the fetcher's per-attempt span.
+// the fetcher's peer-replica span.
 func TestSpanPropagatesAcrossPeerFetch(t *testing.T) {
 	sa, sb, urlA, urlB := startPair(t, Config{}, Config{})
 	ring := peer.NewRing([]string{urlA, urlB}, peer.DefaultReplicas)
@@ -122,7 +125,7 @@ func TestSpanPropagatesAcrossPeerFetch(t *testing.T) {
 		t.Errorf("peer-fetch attrs = %v, want owner=%s outcome=miss", fetch.Attrs, urlA)
 	}
 	// The walk opens one peer-replica span per replica tried (R=1 here),
-	// carrying the breaker state, with the attempts underneath it.
+	// carrying the breaker state; its one request is sent under it.
 	replica, ok := spans["peer-replica"]
 	if !ok {
 		t.Fatalf("fetcher trace has no peer-replica span:\n%s", btr.Tree())
@@ -136,23 +139,16 @@ func TestSpanPropagatesAcrossPeerFetch(t *testing.T) {
 	if replica.Attrs["outcome"] != "miss" {
 		t.Errorf("peer-replica outcome = %v, want miss", replica.Attrs["outcome"])
 	}
-	attempt, ok := spans["peer-attempt"]
-	if !ok {
-		t.Fatalf("fetcher trace has no peer-attempt span:\n%s", btr.Tree())
-	}
-	if attempt.Parent != replica.ID {
-		t.Errorf("peer-attempt parented on %q, want peer-replica %q", attempt.Parent, replica.ID)
-	}
 
 	atr := lastTrace(t, sa, "peer_get")
 	if atr.TraceID != btr.TraceID {
 		t.Errorf("owner trace ID %q != fetcher trace ID %q", atr.TraceID, btr.TraceID)
 	}
-	if atr.RemoteParent != attempt.ID {
-		t.Errorf("owner remote parent %q, want the fetcher's attempt span %q", atr.RemoteParent, attempt.ID)
+	if atr.RemoteParent != replica.ID {
+		t.Errorf("owner remote parent %q, want the fetcher's replica span %q", atr.RemoteParent, replica.ID)
 	}
-	if atr.Spans[0].Parent != attempt.ID {
-		t.Errorf("owner root span parented on %q, want %q", atr.Spans[0].Parent, attempt.ID)
+	if atr.Spans[0].Parent != replica.ID {
+		t.Errorf("owner root span parented on %q, want %q", atr.Spans[0].Parent, replica.ID)
 	}
 }
 
