@@ -18,26 +18,22 @@ vet:
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 
-# Load-harness smoke: a short cpackbench scenario against an in-process
-# cpackd must achieve nonzero throughput, zero 5xx and valid JSON, the
-# flashcrowd scenario must demonstrate singleflight coalescing, and a
-# three-process replicated cluster must hold the warm-hit floor while
-# members crash and rejoin mid-run.
+# Load-harness smoke: a short single-target churn run against an
+# in-process cpackd must achieve nonzero throughput, zero 5xx and valid
+# JSON, the flashcrowd scenario must demonstrate singleflight coalescing,
+# and a three-process replicated cluster must hold the warm-hit floor
+# while members crash and rejoin mid-run.
 bench-smoke:
 	$(GO) test -race -count=1 -run 'TestBenchSmoke|TestFlashcrowdCoalesces|TestChurnClusterWarmFloor' ./cmd/cpackbench
 
-# Regenerate the benchmark trajectory document for this PR: every load
-# scenario (open-loop, coordinated-omission-aware) against a single
-# instance, one churn run against a real 3-process R=2 cluster losing a
-# member every second, plus the codec microbenchmarks (ns/op, MB/s,
-# allocs/op for encode/decode and the served path cold+warm). Commit the
-# result as BENCH_$(BENCH_N).json.
-BENCH_N ?= 9
+# Record the codec microbenchmarks (ns/op, MB/s, allocs/op for
+# encode/decode and the served path cold and warm) as the regression
+# gate's next baseline: make bench-json BENCH_N=<pr> writes
+# BENCH_<pr>.json. End-to-end numbers come from perfbench
+# (perfbench/README.md).
 bench-json:
-	$(GO) run ./cmd/cpackbench -trajectory $(BENCH_N) \
-		-qps 300 -duration 5s -warmup 1s -c 32 \
-		-cluster 3 -cluster-replicas 2 -churn-interval 1s \
-		-out BENCH_$(BENCH_N).json
+	@test -n "$(BENCH_N)" || { echo "usage: make bench-json BENCH_N=<pr>"; exit 2; }
+	$(GO) run ./cmd/benchcompare -record BENCH_$(BENCH_N).json
 	@echo wrote BENCH_$(BENCH_N).json
 
 # Guard the codec microbenchmarks against regression: re-run them and

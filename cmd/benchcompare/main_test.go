@@ -7,17 +7,15 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"codepack/internal/loadgen"
 )
 
 // writeBaseline commits a synthetic trajectory with the given
 // name -> ns/op microbenchmarks as BENCH_<n>.json in dir.
 func writeBaseline(t *testing.T, dir string, n int, micro map[string]float64) string {
 	t.Helper()
-	tr := loadgen.Trajectory{Schema: loadgen.TrajectorySchema, PR: n}
+	tr := Trajectory{Schema: benchSchema, PR: n}
 	for name, ns := range micro {
-		tr.Micro = append(tr.Micro, loadgen.MicroBench{Name: name, Iterations: 10, NsPerOp: ns})
+		tr.Micro = append(tr.Micro, MicroBench{Name: name, Iterations: 10, NsPerOp: ns})
 	}
 	raw, err := json.Marshal(tr)
 	if err != nil {
@@ -159,7 +157,7 @@ func TestCompareUsageErrors(t *testing.T) {
 		t.Error("missing baseline accepted")
 	}
 	// A baseline without a microbench section is an operational error.
-	tr := loadgen.Trajectory{Schema: loadgen.TrajectorySchema, PR: 1}
+	tr := Trajectory{Schema: benchSchema, PR: 1}
 	raw, _ := json.Marshal(tr)
 	empty := filepath.Join(dir, "BENCH_1.json")
 	if err := os.WriteFile(empty, raw, 0o644); err != nil {
@@ -182,5 +180,84 @@ func TestCompareDisjointSetsPass(t *testing.T) {
 	}
 	if !strings.Contains(out, "no benchmarks shared") {
 		t.Fatalf("missing disjoint notice:\n%s", out)
+	}
+}
+
+// TestRecordThenCompare: -record writes a baseline the gate reads back.
+// Comparing the recorded capture with itself is x1.00 everywhere; one
+// benchmark slowed 1.5x fails the gate; and -record refuses a file name
+// that does not carry a PR number.
+func TestRecordThenCompare(t *testing.T) {
+	dir := t.TempDir()
+	in := writeBenchOutput(t, dir,
+		"BenchmarkCompressThroughput-2          5   2244619 ns/op  132.21 MB/s  390916 B/op  8 allocs/op",
+		"BenchmarkDecodeThroughput/reference-2  5   8162691 ns/op   36.36 MB/s  303104 B/op  1 allocs/op",
+		"BenchmarkDecodeThroughput/fast-2       5   2401617 ns/op  123.57 MB/s  303104 B/op  1 allocs/op",
+		"BenchmarkServerCompress/hit-2          5   1241502 ns/op  436156 B/op  197 allocs/op",
+	)
+	base := filepath.Join(dir, "BENCH_42.json")
+	if out, err := runCompare(t, "-record", base, "-input", in); err != nil {
+		t.Fatalf("record: %v\n%s", err, out)
+	}
+	raw, err := os.ReadFile(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr Trajectory
+	if err := json.Unmarshal(raw, &tr); err != nil {
+		t.Fatalf("recorded baseline is not JSON: %v", err)
+	}
+	if tr.Schema != benchSchema || tr.PR != 42 || len(tr.Micro) != 4 {
+		t.Fatalf("recorded header schema=%q pr=%d with %d benchmarks", tr.Schema, tr.PR, len(tr.Micro))
+	}
+
+	out, err := runCompare(t, "-against", base, "-input", in)
+	if err != nil {
+		t.Fatalf("self-compare failed: %v\n%s", err, out)
+	}
+	if n := strings.Count(out, "x1.00  ok"); n != 3 {
+		t.Fatalf("self-compare: %d of 3 benchmarks at x1.00:\n%s", n, out)
+	}
+
+	slow := writeBenchOutput(t, dir,
+		"BenchmarkCompressThroughput-2          5   2244619 ns/op",
+		"BenchmarkDecodeThroughput/reference-2  5   8162691 ns/op",
+		"BenchmarkDecodeThroughput/fast-2       5   3602426 ns/op",
+		"BenchmarkServerCompress/hit-2          5   1241502 ns/op",
+	)
+	out, err = runCompare(t, "-against", base, "-input", slow)
+	if !errors.Is(err, errRegression) || !strings.Contains(out, "x1.50  REGRESSED") {
+		t.Fatalf("1.5x slowdown: err = %v\n%s", err, out)
+	}
+
+	var uerr usageError
+	_, err = runCompare(t, "-record", filepath.Join(dir, "baseline.json"), "-input", in)
+	if !errors.As(err, &uerr) {
+		t.Fatalf("-record without a BENCH_<n>.json name: err = %v, want a usage error", err)
+	}
+}
+
+func TestParseGoBench(t *testing.T) {
+	out := `goos: linux
+goarch: amd64
+BenchmarkCompressThroughput-8        100     1234567 ns/op      98.76 MB/s     4096 B/op       12 allocs/op
+BenchmarkServerCompress/hit-8       2000      654321 ns/op
+some unrelated line
+PASS
+`
+	got, err := ParseGoBench(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 {
+		t.Fatalf("parsed %d results, want 2: %+v", len(got), got)
+	}
+	a := got[0]
+	if a.Name != "BenchmarkCompressThroughput" || a.NsPerOp != 1234567 ||
+		a.MBPerSec != 98.76 || a.BytesPerOp != 4096 || a.AllocsPerOp != 12 || a.Iterations != 100 {
+		t.Fatalf("bad parse: %+v", a)
+	}
+	if got[1].Name != "BenchmarkServerCompress/hit" || got[1].NsPerOp != 654321 {
+		t.Fatalf("bad parse: %+v", got[1])
 	}
 }

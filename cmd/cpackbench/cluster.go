@@ -1,13 +1,11 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -216,38 +214,12 @@ func (h *clusterHarness) startMember(ctx context.Context, m *clusterMember) erro
 func (h *clusterHarness) waitMembers(ctx context.Context, m *clusterMember, want int) error {
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) && ctx.Err() == nil {
-		if n, err := scrapeGauge(ctx, m.url, "cpackd_peer_members"); err == nil && int(n) == want {
+		if st, err := m.client.ServerStats(ctx); err == nil && int(st.PeerMembers) == want {
 			return nil
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
 	return fmt.Errorf("member %d (%s) never saw %d ring members", m.idx, m.url, want)
-}
-
-// scrapeGauge reads one metric value from a member's /metrics.
-func scrapeGauge(ctx context.Context, base, name string) (float64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics", nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return 0, fmt.Errorf("GET /metrics: status %d", resp.StatusCode)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if rest, ok := strings.CutPrefix(line, name+" "); ok {
-			return strconv.ParseFloat(strings.TrimSpace(rest), 64)
-		}
-	}
-	return 0, fmt.Errorf("metric %s not exposed", name)
 }
 
 // Do implements loadgen.Executor: round-robin across live members. A
@@ -390,35 +362,28 @@ func (h *clusterHarness) Close() {
 	}
 }
 
-// runCluster boots a cluster, runs each scenario against it (churning
-// membership mid-run when opts.churn > 0), and tears it down.
-func runCluster(ctx context.Context, scenarios []loadgen.Scenario, opts clusterOptions,
-	lo loadgen.Options, stderr io.Writer) ([]*loadgen.Report, error) {
+// runCluster boots a cluster, runs the scenario in o against it
+// (churning membership mid-run when opts.churn > 0), and tears it down.
+func runCluster(ctx context.Context, opts clusterOptions, o loadgen.Options, stderr io.Writer) (*loadgen.Report, error) {
 	h, err := startCluster(ctx, opts, stderr)
 	if err != nil {
 		return nil, fmt.Errorf("start cluster: %w", err)
 	}
 	defer h.Close()
 
-	var reports []*loadgen.Report
-	for _, sc := range scenarios {
-		fmt.Fprintf(stderr, "cpackbench: running %s against %s (%.0f req/s for %v + %v warmup)\n",
-			sc.Name(), opts.label(), lo.QPS, lo.Duration, lo.Warmup)
-		h.StartChurn(opts.churn)
-		o := lo
-		o.Scenario = sc
-		o.Executor = h
-		o.Metrics = h
-		o.Target = opts.label()
-		rep, err := loadgen.Run(ctx, o)
-		h.StopChurn()
-		if err != nil {
-			return nil, fmt.Errorf("scenario %s: %w", sc.Name(), err)
-		}
-		if opts.churn > 0 {
-			fmt.Fprintf(stderr, "cpackbench: churn: %d stop/restart rounds completed\n", h.ChurnRounds.Load())
-		}
-		reports = append(reports, rep)
+	fmt.Fprintf(stderr, "cpackbench: running %s against %s (%.0f req/s for %v + %v warmup)\n",
+		o.Scenario.Name(), opts.label(), o.QPS, o.Duration, o.Warmup)
+	h.StartChurn(opts.churn)
+	o.Executor = h
+	o.Metrics = h
+	o.Target = opts.label()
+	rep, err := loadgen.Run(ctx, o)
+	h.StopChurn()
+	if err != nil {
+		return nil, fmt.Errorf("scenario %s: %w", o.Scenario.Name(), err)
 	}
-	return reports, nil
+	if opts.churn > 0 {
+		fmt.Fprintf(stderr, "cpackbench: churn: %d stop/restart rounds completed\n", h.ChurnRounds.Load())
+	}
+	return rep, nil
 }

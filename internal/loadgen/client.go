@@ -26,7 +26,7 @@ type MetricsSource interface {
 	ServerStats(ctx context.Context) (ServerStats, error)
 }
 
-// ServerStats are the /metrics counters the harness tracks. All values
+// ServerStats are the /metrics series the harness tracks. The counters
 // are cumulative totals; reports publish after-minus-before deltas.
 type ServerStats struct {
 	CacheHits   uint64 `json:"cache_hits"`
@@ -35,10 +35,10 @@ type ServerStats struct {
 	Coalesced   uint64 `json:"coalesced"`
 	PeerHits    uint64 `json:"peer_hits"`
 	PeerMisses  uint64 `json:"peer_misses"`
-	// SLOWorstState is the worst cpackd_slo_state gauge across all
-	// objectives at scrape time: 0 ok, 1 warn, 2 page. Stays 0 when the
-	// server has no SLO config loaded.
-	SLOWorstState uint64 `json:"slo_worst_state"`
+	// PeerMembers is the cpackd_peer_members gauge at scrape time: how
+	// many members the instance's ring holds (0 when standalone). The
+	// cluster harness waits on it; reports do not diff it.
+	PeerMembers uint64 `json:"peer_members"`
 }
 
 // HTTPClient is the Executor and MetricsSource for a live cpackd.
@@ -106,7 +106,7 @@ func (c *HTTPClient) ServerStats(ctx context.Context) (ServerStats, error) {
 	return parseServerStats(resp.Body)
 }
 
-// parseServerStats extracts the tracked counters from a Prometheus text
+// parseServerStats extracts the tracked series from a Prometheus text
 // exposition. Unknown series are ignored; absent series stay zero (a
 // standalone instance exports no peer counters).
 func parseServerStats(r io.Reader) (ServerStats, error) {
@@ -118,6 +118,7 @@ func parseServerStats(r io.Reader) (ServerStats, error) {
 		"cpackd_compress_coalesced_total": &st.Coalesced,
 		"cpackd_peer_hits_total":          &st.PeerHits,
 		"cpackd_peer_misses_total":        &st.PeerMisses,
+		"cpackd_peer_members":             &st.PeerMembers,
 	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), 1<<20)
@@ -130,20 +131,11 @@ func parseServerStats(r io.Reader) (ServerStats, error) {
 		if !ok {
 			continue
 		}
-		// cpackd_slo_state is a labelled per-objective gauge; track the
-		// worst value seen so a run's report says whether the server was
-		// burning budget while under load.
-		if strings.HasPrefix(name, "cpackd_slo_state{") || name == "cpackd_slo_state" {
-			if v, err := strconv.ParseFloat(strings.TrimSpace(value), 64); err == nil && v >= 0 && uint64(v) > st.SLOWorstState {
-				st.SLOWorstState = uint64(v)
-			}
-			continue
-		}
 		dst, ok := targets[name]
 		if !ok {
 			continue
 		}
-		// Counters render as integers; tolerate a float just in case.
+		// Counters and gauges render as integers; tolerate a float.
 		if v, err := strconv.ParseFloat(strings.TrimSpace(value), 64); err == nil && v >= 0 {
 			*dst = uint64(v)
 		}

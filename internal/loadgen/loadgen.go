@@ -1,17 +1,13 @@
-// Package loadgen is the pluggable scenario load harness for cpackd.
+// Package loadgen is the scenario load harness for cpackd. It drives the
+// three behaviours the end-to-end benchmark (perfbench/README.md) cannot:
+// singleflight coalescing under a flash crowd, weighted-fair admission
+// between two tenants, and a replicated cluster's warm-hit rate while
+// members crash and rejoin.
 //
-// It separates three concerns so every future subsystem can reuse the same
-// proof tooling:
+// It separates three concerns:
 //
 //   - A Scenario produces a deterministic, seed-replayable stream of
-//     requests (compress / decompress / verify / simulate) over programs
-//     generated by internal/workload. Scenarios differ qualitatively —
-//     uniform and zipfian popularity, cache-thrashing unique digests, an
-//     all-miss cold-start storm, a flash crowd hammering one digest, a
-//     mixed light/heavy endpoint blend, and a small-working-set churn
-//     stream built for a replicated cluster losing members mid-run — so
-//     one harness can stress the cache, the singleflight, the worker
-//     pools, the shed path and the warm tier's failover.
+//     requests over programs generated by internal/workload.
 //
 //   - The Runner drives an Executor open loop: arrivals follow a fixed
 //     schedule derived from the requested QPS, and every latency is
@@ -21,12 +17,10 @@
 //     (no coordinated omission), which is what a user behind the stall
 //     would observe.
 //
-//   - The Recorder aggregates those latencies HDR-style (log-spaced
-//     buckets at ~5% precision) into p50/p90/p99/p99.9/max without
-//     storing every sample, and the Report marshals the whole run —
-//     config, per-op status counts, achieved throughput, latency
-//     quantiles and server-side /metrics deltas — as schema-stable JSON
-//     that feeds the repo's BENCH_<n>.json trajectory.
+//   - The Recorder keeps every latency sample and reports exact
+//     nearest-rank p50/p90/p99/p99.9/max, and the Report marshals the
+//     whole run — config, per-op status counts, goodput, latency
+//     quantiles and server-side /metrics deltas — as schema-stable JSON.
 //
 // cmd/cpackbench is the CLI front end.
 package loadgen
@@ -34,7 +28,6 @@ package loadgen
 import (
 	"fmt"
 	"iter"
-	"sort"
 )
 
 // Request is one generated call against a cpackd instance.
@@ -84,18 +77,7 @@ type TenantScenario interface {
 
 // Scenarios returns the built-in scenario catalogue, sorted by name.
 func Scenarios() []Scenario {
-	all := []Scenario{
-		newUniform(),
-		newZipfian(),
-		newThrash(),
-		newColdstart(),
-		newFlashcrowd(),
-		newMixed(),
-		newChurn(),
-		newTenants(),
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Name() < all[j].Name() })
-	return all
+	return []Scenario{newChurn(), newFlashcrowd(), newTenants()}
 }
 
 // ByName returns the named built-in scenario.

@@ -7,11 +7,9 @@ import (
 )
 
 // ReportSchema identifies the per-run report wire format. Bump only on
-// incompatible change; BENCH_*.json comparisons across PRs key on it.
-const ReportSchema = "cpackbench/v1"
-
-// TrajectorySchema identifies the BENCH_<n>.json wire format.
-const TrajectorySchema = "codepack-bench/v1"
+// incompatible change. v2: completed and throughput_rps count 2xx
+// replies only, and slo_worst_state is gone.
+const ReportSchema = "cpackbench/v2"
 
 // RunConfig echoes the knobs a run was driven with.
 type RunConfig struct {
@@ -38,9 +36,6 @@ type ServerDelta struct {
 	// replication tier's figure of merit (the churn scenario asserts a
 	// floor on it).
 	WarmRate float64 `json:"warm_rate"`
-	// SLOWorstState is the worst per-objective alert state scraped after
-	// the run (0 ok, 1 warn, 2 page) — a gauge, not a delta.
-	SLOWorstState uint64 `json:"slo_worst_state"`
 }
 
 // Report is one scenario run's machine-readable result.
@@ -52,17 +47,19 @@ type Report struct {
 	Config   RunConfig `json:"config"`
 
 	// Sent counts every scheduled request (warmup included);
-	// WarmupRequests of those landed in the warmup window. Completed and
-	// TransportErrors partition the measured window, and ByOp breaks the
-	// measured window down as op -> status code (or "error") -> count.
+	// WarmupRequests of those landed in the warmup window. In the
+	// measured window, Completed counts 2xx replies and TransportErrors
+	// requests that drew no reply; ByOp breaks the window down as op ->
+	// status code (or "error") -> count, so 429s and 5xx show there.
 	Sent            int                          `json:"sent"`
 	WarmupRequests  uint64                       `json:"warmup_requests"`
 	Completed       uint64                       `json:"completed"`
 	TransportErrors uint64                       `json:"transport_errors"`
 	ByOp            map[string]map[string]uint64 `json:"by_op"`
 
-	// ThroughputRPS is the achieved measured-window rate; compare it to
-	// Config.QPS to see whether the server kept up with the open loop.
+	// ThroughputRPS is the measured-window goodput (2xx replies per
+	// second); compare it to Config.QPS to see whether the server kept
+	// up with the open loop.
 	ThroughputRPS float64      `json:"throughput_rps"`
 	Latency       LatencyStats `json:"latency"`
 
@@ -109,7 +106,7 @@ func (r *Report) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "scenario %s (seed %d): %s\n", r.Scenario, r.Seed, r.Describe)
 	fmt.Fprintf(w, "  open loop %.0f req/s for %.1fs (+%.1fs warmup), concurrency %d\n",
 		r.Config.QPS, r.Config.DurationSec, r.Config.WarmupSec, r.Config.Concurrency)
-	fmt.Fprintf(w, "  %d sent, %d completed, %d transport errors, achieved %.1f req/s\n",
+	fmt.Fprintf(w, "  %d sent, %d completed (2xx), %d transport errors, goodput %.1f req/s\n",
 		r.Sent, r.Completed, r.TransportErrors, r.ThroughputRPS)
 	ops := make([]string, 0, len(r.ByOp))
 	for op := range r.ByOp {
@@ -154,15 +151,4 @@ func (r *Report) WriteText(w io.Writer) {
 		}
 		fmt.Fprintf(w, "  fairness (Jain, goodput/weight) %.3f\n", r.Fairness)
 	}
-}
-
-// Trajectory is the BENCH_<n>.json document: one PR's harness runs plus
-// the codec microbenchmark numbers, so every later PR can show its perf
-// movement against the committed history instead of asserting it.
-type Trajectory struct {
-	Schema    string       `json:"schema"`
-	PR        int          `json:"pr"`
-	GoVersion string       `json:"go_version,omitempty"`
-	Scenarios []*Report    `json:"scenarios"`
-	Micro     []MicroBench `json:"microbench,omitempty"`
 }

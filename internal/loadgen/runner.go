@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -169,7 +170,9 @@ func (t *tenantTracker) report(specs map[string]TenantSpec, window time.Duration
 	return out, fairness
 }
 
-// Run drives one scenario open loop and returns its report.
+// Run drives one scenario open loop and returns its report. Only 2xx
+// replies count as completed and as throughput; a 429 or 5xx is an
+// outcome, visible per status code in ByOp and per tenant.
 //
 // The whole request stream is generated before the clock starts, so a
 // scenario's setup (building its corpus) never lands in the first
@@ -217,8 +220,7 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 	measured := newStatusCounts()
 	warmup := newStatusCounts()
 	tenants := newTenantTracker()
-	var errorsN, completedN, warmupN uint64
-	var countMu sync.Mutex
+	var errorsN, completedN, warmupN atomic.Uint64
 
 	jobs := make(chan job, total)
 	var wg sync.WaitGroup
@@ -238,24 +240,20 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 				}
 				if inWarmup {
 					warmup.record(j.req.Op, label)
-					countMu.Lock()
-					warmupN++
-					countMu.Unlock()
+					warmupN.Add(1)
 					continue
 				}
 				measured.record(j.req.Op, label)
-				countMu.Lock()
+				ok := err == nil && status >= 200 && status < 300
 				if err != nil {
-					errorsN++
-				} else {
-					completedN++
+					errorsN.Add(1)
+				} else if ok {
+					completedN.Add(1)
 				}
-				countMu.Unlock()
 				lat := done.Sub(j.intended)
 				rec.Observe(lat)
 				if j.req.Tenant != "" {
-					tenants.record(j.req.Tenant, label,
-						err == nil && status >= 200 && status < 300, lat)
+					tenants.record(j.req.Tenant, label, ok, lat)
 				}
 			}
 		}()
@@ -305,11 +303,11 @@ schedule:
 			Concurrency: o.Concurrency,
 		},
 		Sent:            sent,
-		WarmupRequests:  warmupN,
-		Completed:       completedN,
-		TransportErrors: errorsN,
+		WarmupRequests:  warmupN.Load(),
+		Completed:       completedN.Load(),
+		TransportErrors: errorsN.Load(),
 		ByOp:            measured.snapshot(),
-		ThroughputRPS:   float64(completedN+errorsN) / measuredWindow.Seconds(),
+		ThroughputRPS:   float64(completedN.Load()) / measuredWindow.Seconds(),
 		Latency:         rec.Snapshot(),
 	}
 	var specs map[string]TenantSpec
@@ -343,8 +341,6 @@ func diffServerStats(before, after ServerStats) *ServerDelta {
 		Coalesced:   sub(after.Coalesced, before.Coalesced),
 		PeerHits:    sub(after.PeerHits, before.PeerHits),
 		PeerMisses:  sub(after.PeerMisses, before.PeerMisses),
-		// The SLO state is a gauge: report the post-run value, not a diff.
-		SLOWorstState: after.SLOWorstState,
 	}
 	if lookups := d.CacheHits + d.CacheMisses; lookups > 0 {
 		d.HitRate = float64(d.CacheHits) / float64(lookups)

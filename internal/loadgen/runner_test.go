@@ -12,8 +12,9 @@ import (
 )
 
 // stubScenario yields tiny constant requests without touching the corpus
-// generator, keeping runner tests fast.
-type stubScenario struct{ op string }
+// generator, keeping runner tests fast. A non-empty tenant labels every
+// request with it.
+type stubScenario struct{ op, tenant string }
 
 func (stubScenario) Name() string     { return "stub" }
 func (stubScenario) Describe() string { return "constant stream for tests" }
@@ -21,7 +22,7 @@ func (stubScenario) Describe() string { return "constant stream for tests" }
 func (s stubScenario) Requests(seed int64) iter.Seq[Request] {
 	return func(yield func(Request) bool) {
 		for i := 0; ; i++ {
-			if !yield(Request{Op: s.op, Key: fmt.Sprintf("k%d", i%4), Body: []byte(`{}`)}) {
+			if !yield(Request{Op: s.op, Key: fmt.Sprintf("k%d", i%4), Body: []byte(`{}`), Tenant: s.tenant}) {
 				return
 			}
 		}
@@ -161,7 +162,8 @@ func TestRunGeneratesScheduleBeforeClock(t *testing.T) {
 }
 
 // TestRunRecordsErrorsAndStatuses: non-2xx statuses and transport errors
-// are partitioned correctly.
+// are partitioned correctly, and only 2xx replies count as completed and
+// as throughput (goodput), so a server answering 429 cannot look busy.
 func TestRunRecordsErrorsAndStatuses(t *testing.T) {
 	var n atomic.Int64
 	exec := execFunc(func(ctx context.Context, req Request) (int, error) {
@@ -175,7 +177,7 @@ func TestRunRecordsErrorsAndStatuses(t *testing.T) {
 		}
 	})
 	rep, err := Run(context.Background(), Options{
-		Scenario:    stubScenario{op: "compress"},
+		Scenario:    stubScenario{op: "compress", tenant: "t"},
 		Executor:    exec,
 		QPS:         300,
 		Duration:    150 * time.Millisecond,
@@ -190,6 +192,19 @@ func TestRunRecordsErrorsAndStatuses(t *testing.T) {
 	codes := rep.ByOp["compress"]
 	if codes["429"] == 0 || codes["200"] == 0 || codes["error"] == 0 {
 		t.Fatalf("status partition incomplete: %v", codes)
+	}
+	if rep.Completed != codes["200"] || rep.TransportErrors != codes["error"] {
+		t.Fatalf("completed=%d errors=%d, want the 2xx and error counts of %v",
+			rep.Completed, rep.TransportErrors, codes)
+	}
+	// The tenant section divides the same 2xx count by the same window.
+	tr := rep.Tenants["t"]
+	if tr == nil || tr.ByStatus["200"] != rep.Completed {
+		t.Fatalf("tenant section %+v does not match completed=%d", tr, rep.Completed)
+	}
+	if rep.ThroughputRPS <= 0 || rep.ThroughputRPS != tr.GoodputRPS {
+		t.Fatalf("throughput %.3f req/s, want the 2xx goodput %.3f req/s",
+			rep.ThroughputRPS, tr.GoodputRPS)
 	}
 }
 
@@ -264,38 +279,15 @@ cpackd_requests_shed_total 3
 cpackd_compress_coalesced_total 5
 cpackd_peer_hits_total 2
 cpackd_peer_misses_total 1
+cpackd_peer_members 3
+cpackd_slo_state{slo="compress"} 2
 `
 	st, err := parseServerStats(strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ServerStats{CacheHits: 42, CacheMisses: 7, Shed: 3, Coalesced: 5, PeerHits: 2, PeerMisses: 1}
+	want := ServerStats{CacheHits: 42, CacheMisses: 7, Shed: 3, Coalesced: 5, PeerHits: 2, PeerMisses: 1, PeerMembers: 3}
 	if st != want {
 		t.Fatalf("parsed %+v, want %+v", st, want)
-	}
-}
-
-func TestParseGoBench(t *testing.T) {
-	out := `goos: linux
-goarch: amd64
-BenchmarkCompressThroughput-8        100     1234567 ns/op      98.76 MB/s     4096 B/op       12 allocs/op
-BenchmarkServerCompress/hit-8       2000      654321 ns/op
-some unrelated line
-PASS
-`
-	got, err := ParseGoBench(strings.NewReader(out))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("parsed %d results, want 2: %+v", len(got), got)
-	}
-	a := got[0]
-	if a.Name != "BenchmarkCompressThroughput" || a.NsPerOp != 1234567 ||
-		a.MBPerSec != 98.76 || a.BytesPerOp != 4096 || a.AllocsPerOp != 12 || a.Iterations != 100 {
-		t.Fatalf("bad parse: %+v", a)
-	}
-	if got[1].Name != "BenchmarkServerCompress/hit" || got[1].NsPerOp != 654321 {
-		t.Fatalf("bad parse: %+v", got[1])
 	}
 }

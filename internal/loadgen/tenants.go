@@ -73,7 +73,7 @@ func (s tenants) Requests(seed int64) iter.Seq[Request] {
 		// those run to their committed-instruction budget, pinning a heavy
 		// worker for real milliseconds per call, and the 10:1 skew genuinely
 		// saturates the heavy pool instead of breezing through it.
-		const heavyBudget = 40 * simulateBudget
+		const heavyBudget = 2_000_000
 		uniq := s.corpus // heavy's unique-digest ids start past the hot set
 		for i := 0; ; i++ {
 			var req Request

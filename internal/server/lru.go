@@ -1,7 +1,6 @@
 package server
 
 import (
-	"crypto/sha256"
 	"log/slog"
 	"sort"
 	"sync"
@@ -301,29 +300,30 @@ func (c *compCache) compactLoop() {
 	}
 }
 
-// compactNow cuts a snapshot of the live entries, oldest first so replay
-// order preserves recency on the next boot.
+// compactNow cuts a snapshot of the live verified entries, oldest first
+// so replay order preserves recency on the next boot. Only the entry list
+// is taken under the cache lock: marshalling runs after it is released,
+// still inside collect and so under the store lock, and encodeRecord
+// hashes each payload itself.
 func (c *compCache) compactNow() error {
 	return c.store.compact(func() []storedEntry {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		out := make([]storedEntry, 0, len(c.entries))
 		type aged struct {
 			key   string
+			comp  *codepack.Compressed
 			stamp uint64
 		}
+		c.mu.Lock()
 		order := make([]aged, 0, len(c.entries))
 		for k, e := range c.entries {
-			order = append(order, aged{k, e.stamp})
+			if e.verified {
+				order = append(order, aged{k, e.comp, e.stamp})
+			}
 		}
+		c.mu.Unlock()
 		sort.Slice(order, func(i, j int) bool { return order[i].stamp < order[j].stamp })
-		for _, a := range order {
-			payload := c.entries[a.key].comp.Marshal()
-			out = append(out, storedEntry{
-				key:     a.key,
-				payload: payload,
-				sum:     sha256.Sum256(payload),
-			})
+		out := make([]storedEntry, len(order))
+		for i, a := range order {
+			out[i] = storedEntry{key: a.key, payload: a.comp.Marshal()}
 		}
 		return out
 	})

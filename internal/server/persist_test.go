@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -128,6 +129,30 @@ func TestPersistedCacheRespectsCapacity(t *testing.T) {
 		if _, ok := c.get(k); !ok {
 			t.Errorf("recent key %s missing after restore", k)
 		}
+	}
+}
+
+// TestCompCacheSnapshotSkipsQuarantined: a peer-replicated entry no
+// local request has verified stays out of the durable store, compaction
+// snapshots included, so a restart cannot restore it as verified. Once
+// confirmed it is persisted like any other entry.
+func TestCompCacheSnapshotSkipsQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	st, recovered := openTestStore(t, dir)
+	c := newCompCache(4)
+	c.attachStore(st, recovered, quietLogger())
+	c.put("local", makeComp(t, 1))
+	c.putReplicated("replica", makeComp(t, 2))
+	c.putReplicated("confirmed", makeComp(t, 3))
+	c.confirm("confirmed")
+	if err := c.compactNow(); err != nil {
+		t.Fatal(err)
+	}
+	c.close()
+
+	_, entries := openTestStore(t, dir)
+	if got := entryKeys(entries); !slices.Equal(got, []string{"local", "confirmed"}) {
+		t.Fatalf("snapshot holds %v, want [local confirmed]", got)
 	}
 }
 

@@ -277,12 +277,14 @@ func TestSaturatedPoolSheds(t *testing.T) {
 
 	simBody := SimulateRequest{ProgramRef: ProgramRef{Asm: testAsm}, MaxInstr: 1000}
 	codes := make(chan int, 2)
-	for i := 0; i < 2; i++ {
-		go func() { codes <- postCode(ts.URL+"/v1/simulate", simBody) }()
-	}
-	// Wait until one job runs on the single worker; the other then
-	// occupies the queue slot of capacity 1.
+	post := func() { codes <- postCode(ts.URL+"/v1/simulate", simBody) }
+	// Send the second job only once the first runs on the single worker,
+	// so it occupies the queue slot of capacity 1. Sent together, both
+	// can arrive before the worker dequeues the first, and the second
+	// is shed instead.
+	go post()
 	<-started
+	go post()
 	waitFor(t, func() bool { return s.heavy.depth() == 1 })
 
 	resp := postJSON(t, ts.URL+"/v1/simulate", simBody)

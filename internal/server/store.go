@@ -73,8 +73,10 @@ type storeStats struct {
 	SnapshotBytes   int64  `json:"snapshot_bytes"`
 }
 
-// storedEntry is one recovered cache entry: the payload has already been
-// verified against sum (the record's SHA-256).
+// storedEntry is one cache entry read from or written to the store. On
+// recovery the payload has already been verified against sum (the
+// record's SHA-256); entries handed to compact leave sum unset, since
+// encodeRecord hashes the payload itself.
 type storedEntry struct {
 	key     string
 	payload []byte
