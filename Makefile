@@ -27,18 +27,19 @@ bench-smoke:
 	$(GO) test -race -count=1 -run 'TestBenchSmoke|TestFlashcrowdCoalesces|TestChurnClusterWarmFloor' ./cmd/cpackbench
 
 # Record the codec microbenchmarks (ns/op, MB/s, allocs/op for
-# encode/decode and the served path cold and warm) as the regression
-# gate's next baseline: make bench-json BENCH_N=<pr> writes
-# BENCH_<pr>.json. End-to-end numbers come from perfbench
+# encode/decode and the served path cold and warm; ten samples each) as
+# the regression gate's next baseline: make bench-json BENCH_N=<pr>
+# writes BENCH_<pr>.json. End-to-end numbers come from perfbench
 # (perfbench/README.md).
 bench-json:
 	@test -n "$(BENCH_N)" || { echo "usage: make bench-json BENCH_N=<pr>"; exit 2; }
 	$(GO) run ./cmd/benchcompare -record BENCH_$(BENCH_N).json
 	@echo wrote BENCH_$(BENCH_N).json
 
-# Guard the codec microbenchmarks against regression: re-run them and
-# fail if any shared benchmark is >20% slower than the committed
-# trajectory after anchor normalization (see cmd/benchcompare).
+# Guard the codec microbenchmarks against regression: re-run them ten
+# times and fail if a shared benchmark's anchor-normalized samples are
+# slower than the committed trajectory's by a Mann-Whitney U test
+# (p < 0.05) and by more than 20% in the median (see docs/BENCH.md).
 bench-compare:
 	$(GO) run ./cmd/benchcompare
 
@@ -51,7 +52,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz 'FuzzDecodeEquivalence$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz 'FuzzCompressEquivalence$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz 'FuzzBitStream$$' -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -run xxx -fuzz 'FuzzLoadCacheLog$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run xxx -fuzz 'FuzzLoadCacheEntry$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run xxx -fuzz 'FuzzRecoverCacheDir$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run xxx -fuzz 'FuzzMembershipMessage$$' -fuzztime $(FUZZTIME) ./internal/peer
 	$(GO) test -run xxx -fuzz 'FuzzTenantConfig$$' -fuzztime $(FUZZTIME) ./internal/tenant

@@ -1,16 +1,21 @@
 // Command benchcompare runs the codec microbenchmarks and guards them
-// against regressions: it compares a fresh `go test -bench` run (or a
-// captured output file) against the microbenchmark section of a
-// committed BENCH_<n>.json and fails when any shared benchmark got more
-// than -threshold times slower. With -record it writes the run as a new
+// against regressions: it compares ten fresh samples of each benchmark
+// (or a captured `go test -bench` output) against the microbenchmark
+// samples of a committed BENCH_<n>.json and fails when a shared
+// benchmark got slower. With -record it writes the run, every sample, as a new
 // BENCH_<n>.json baseline instead (`make bench-json`).
 //
 // Raw ns/op is not comparable across machines, so the comparison is
 // anchor-normalized: one benchmark present in both runs (the reference
-// decoder by default) estimates the machine-speed ratio, and every other
-// benchmark's ns/op is judged against baseline × that ratio. A uniform
+// decoder by default) estimates the machine-speed ratio as the median of
+// its current samples over the median of its baseline samples, and every
+// other benchmark's current samples are divided by that ratio. A uniform
 // slowdown (slower CI host) cancels out; a real regression in one
-// benchmark does not.
+// benchmark does not. A benchmark is REGRESSED only when a two-sided
+// Mann–Whitney U test on its baseline and normalized samples gives
+// p < 0.05 and the median normalized ratio exceeds -threshold, so one
+// noisy sample cannot fail the gate and a shift inside the noise cannot
+// either.
 //
 //	benchcompare                  # baseline = highest BENCH_*.json, run benchmarks
 //	benchcompare -against BENCH_8.json -input bench.out
@@ -19,17 +24,20 @@ package main
 
 import (
 	"bufio"
+	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -59,6 +67,19 @@ var errRegression = errors.New("benchmark regression against baseline")
 // and warm.
 const benchPattern = "CompressThroughput|DecompressThroughput|DecodeThroughput|DecodePooled|ServerCompress"
 
+const (
+	// benchCount is how many passes over the set a run makes, one
+	// sample of each benchmark per pass; one pass is under a second of
+	// benchmark time.
+	benchCount = 10
+	// minSamples is the fewest samples per side a comparison accepts:
+	// with 3 against 3 the smallest two-sided p is 0.1, so the gate
+	// could never fail.
+	minSamples = 4
+	// alpha is the U test's significance level.
+	alpha = 0.05
+)
+
 // benchFile matches a baseline's file name and captures its PR number.
 var benchFile = regexp.MustCompile(`^BENCH_(\d+)\.json$`)
 
@@ -77,7 +98,7 @@ type Trajectory struct {
 
 // MicroBench is one `go test -bench` result line, normalized: the
 // -<GOMAXPROCS> suffix is stripped from the name so baselines compare
-// across machines.
+// across machines. A baseline holds one per sample, so names repeat.
 type MicroBench struct {
 	Name        string  `json:"name"`
 	Iterations  int64   `json:"iterations"`
@@ -104,7 +125,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		against   = fs.String("against", "", "baseline BENCH_<n>.json (default: highest-numbered in -dir)")
 		dir       = fs.String("dir", ".", "directory searched for the default baseline")
 		input     = fs.String("input", "", "read `go test -bench` output from this file instead of running benchmarks")
-		threshold = fs.Float64("threshold", 1.20, "fail when normalized ns/op exceeds baseline by this factor")
+		threshold = fs.Float64("threshold", 1.20, "fail when the median normalized ns/op exceeds the baseline's by this factor (and the U test agrees)")
 		benchtime = fs.String("benchtime", "20x", "-benchtime when running benchmarks")
 		record    = fs.String("record", "", "write the run to this BENCH_<n>.json (PR number from the name) instead of comparing")
 	)
@@ -117,7 +138,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	var (
 		path string
-		base map[string]MicroBench
+		base map[string][]float64
 		pr   int
 		err  error
 	)
@@ -162,9 +183,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 			Schema: benchSchema, PR: pr, GoVersion: runtime.Version(), Micro: cur})
 	}
 
-	rep, regressed := compare(base, cur, *threshold)
+	now := samples(cur)
+	rep, regressed, err := compare(base, now, *threshold)
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
 	fmt.Fprintf(stdout, "baseline %s (%d benchmarks), current run (%d benchmarks)\n",
-		path, len(base), len(cur))
+		path, len(base), len(now))
 	fmt.Fprint(stdout, rep)
 	if regressed {
 		return errRegression
@@ -194,8 +219,8 @@ func latestTrajectory(dir string) (string, error) {
 	return best, nil
 }
 
-// loadBaseline reads the microbenchmark section of a trajectory document.
-func loadBaseline(path string) (map[string]MicroBench, error) {
+// loadBaseline reads the microbenchmark samples of a trajectory document.
+func loadBaseline(path string) (map[string][]float64, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -207,11 +232,16 @@ func loadBaseline(path string) (map[string]MicroBench, error) {
 	if len(tr.Micro) == 0 {
 		return nil, fmt.Errorf("%s has no microbenchmark section", path)
 	}
-	out := make(map[string]MicroBench, len(tr.Micro))
-	for _, mb := range tr.Micro {
-		out[mb.Name] = mb
+	return samples(tr.Micro), nil
+}
+
+// samples groups ns/op by benchmark name.
+func samples(micro []MicroBench) map[string][]float64 {
+	out := make(map[string][]float64)
+	for _, mb := range micro {
+		out[mb.Name] = append(out[mb.Name], mb.NsPerOp)
 	}
-	return out, nil
+	return out
 }
 
 // writeTrajectory writes a baseline document as indented JSON.
@@ -223,32 +253,51 @@ func writeTrajectory(path string, tr *Trajectory) error {
 	return os.WriteFile(path, append(raw, '\n'), 0o644)
 }
 
-// runBenchmarks executes the microbenchmark set in the current tree.
+// runBenchmarks executes the microbenchmark set in the current tree
+// benchCount times. Each pass runs every benchmark once, so the samples
+// of each benchmark spread over the whole run, as the anchor's do, and
+// a slow or fast stretch of the machine lands on all benchmarks alike
+// rather than on whichever one `go test -count` happened to be running.
 func runBenchmarks(stderr io.Writer, benchtime string) ([]MicroBench, error) {
-	cmd := exec.Command("go", "test", "-run", "xxx",
-		"-bench", benchPattern, "-benchmem", "-benchtime", benchtime, ".")
-	cmd.Stderr = stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("go test -bench: %w", err)
+	var out []MicroBench
+	for range benchCount {
+		cmd := exec.Command("go", "test", "-run", "xxx",
+			"-bench", benchPattern, "-benchmem", "-benchtime", benchtime, ".")
+		cmd.Stderr = stderr
+		raw, err := cmd.Output()
+		if err != nil {
+			return nil, fmt.Errorf("go test -bench: %w", err)
+		}
+		pass, err := ParseGoBench(bytes.NewReader(raw))
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, pass...)
 	}
-	return ParseGoBench(strings.NewReader(string(out)))
+	return out, nil
 }
 
 // compare renders the per-benchmark verdicts and reports whether any
-// shared benchmark regressed past the threshold.
-func compare(base map[string]MicroBench, cur []MicroBench, threshold float64) (string, bool) {
+// shared benchmark regressed. It is an error for a shared benchmark to
+// have fewer than minSamples samples on either side.
+func compare(base, cur map[string][]float64, threshold float64) (string, bool, error) {
+	var shared []string
+	for name := range cur {
+		if _, ok := base[name]; ok {
+			shared = append(shared, name)
+		}
+	}
+	slices.Sort(shared)
+	for _, name := range shared {
+		if n := min(len(base[name]), len(cur[name])); n < minSamples {
+			return "", false, fmt.Errorf("%s has %d samples on one side, need at least %d", name, n, minSamples)
+		}
+	}
+
 	scale, anchor := 1.0, ""
 	for _, a := range anchors {
-		if b, ok := base[a]; ok {
-			for _, c := range cur {
-				if c.Name == a && b.NsPerOp > 0 {
-					scale, anchor = c.NsPerOp/b.NsPerOp, a
-					break
-				}
-			}
-		}
-		if anchor != "" {
+		if slices.Contains(shared, a) {
+			scale, anchor = median(cur[a])/median(base[a]), a
 			break
 		}
 	}
@@ -259,29 +308,120 @@ func compare(base map[string]MicroBench, cur []MicroBench, threshold float64) (s
 	} else {
 		fmt.Fprintf(&sb, "anchor %s: machine-speed ratio %.3f\n", anchor, scale)
 	}
-	sort.Slice(cur, func(i, j int) bool { return cur[i].Name < cur[j].Name })
 	regressed := false
-	shared := 0
-	for _, c := range cur {
-		b, ok := base[c.Name]
-		if !ok || c.Name == anchor {
+	for _, name := range shared {
+		if name == anchor {
 			continue
 		}
-		shared++
-		allowed := b.NsPerOp * scale * threshold
-		ratio := c.NsPerOp / (b.NsPerOp * scale)
+		norm := make([]float64, len(cur[name]))
+		for i, v := range cur[name] {
+			norm[i] = v / scale
+		}
+		b, c := median(base[name]), median(norm)
+		p := mannWhitneyU(base[name], norm)
 		verdict := "ok"
-		if c.NsPerOp > allowed {
+		if p < alpha && c/b > threshold {
 			verdict = "REGRESSED"
 			regressed = true
 		}
-		fmt.Fprintf(&sb, "  %-45s %12.0f -> %12.0f ns/op  x%.2f  %s\n",
-			c.Name, b.NsPerOp*scale, c.NsPerOp, ratio, verdict)
+		fmt.Fprintf(&sb, "  %-45s %12.0f -> %12.0f ns/op  x%.2f  p=%.3f  %s\n",
+			name, b, c, c/b, p, verdict)
 	}
-	if shared == 0 {
+	if len(shared) == 0 {
 		fmt.Fprintf(&sb, "  no benchmarks shared with the baseline\n")
 	}
-	return sb.String(), regressed
+	return sb.String(), regressed, nil
+}
+
+func median(xs []float64) float64 {
+	s := slices.Sorted(slices.Values(xs))
+	n := len(s)
+	return (s[(n-1)/2] + s[n/2]) / 2
+}
+
+// mannWhitneyU returns the two-sided p-value of the Mann–Whitney U test
+// that x and y are samples of one distribution. Without ties it uses the
+// exact null distribution of U; with ties, the normal approximation with
+// tie and continuity correction, as benchstat does.
+func mannWhitneyU(x, y []float64) float64 {
+	n1, n2 := len(x), len(y)
+	type obs struct {
+		v   float64
+		inX bool
+	}
+	all := make([]obs, 0, n1+n2)
+	for _, v := range x {
+		all = append(all, obs{v, true})
+	}
+	for _, v := range y {
+		all = append(all, obs{v, false})
+	}
+	slices.SortFunc(all, func(a, b obs) int { return cmp.Compare(a.v, b.v) })
+
+	// Rank sum of x, with tied values sharing their mean rank.
+	var r1, tieSum float64
+	for i := 0; i < len(all); {
+		j := i + 1
+		for j < len(all) && all[j].v == all[i].v {
+			j++
+		}
+		rank := float64(i+j+1) / 2
+		for _, o := range all[i:j] {
+			if o.inX {
+				r1 += rank
+			}
+		}
+		t := float64(j - i)
+		tieSum += t*t*t - t
+		i = j
+	}
+	u1 := r1 - float64(n1*(n1+1))/2
+	u := math.Min(u1, float64(n1*n2)-u1)
+	if tieSum == 0 {
+		return math.Min(1, 2*uCDF(n1, n2, int(u)))
+	}
+	n := float64(n1 + n2)
+	sigma := math.Sqrt(float64(n1*n2) / 12 * (n + 1 - tieSum/(n*(n-1))))
+	if sigma == 0 {
+		return 1
+	}
+	z := math.Max(0, float64(n1*n2)/2-u-0.5) / sigma
+	return math.Erfc(z / math.Sqrt2)
+}
+
+// uCDF is P(U <= u) for samples of n1 and n2 untied values under the
+// null hypothesis. The count of orderings with a given U obeys
+// c(i, j, u) = c(i-1, j, u-j) + c(i, j-1, u): the largest value is
+// either an x, which exceeds all j y's, or a y, which exceeds none.
+func uCDF(n1, n2, u int) float64 {
+	c := make([][][]float64, n1+1)
+	for i := range c {
+		c[i] = make([][]float64, n2+1)
+		for j := range c[i] {
+			d := make([]float64, i*j+1)
+			if i == 0 || j == 0 {
+				d[0] = 1
+			} else {
+				for k := range d {
+					if k >= j {
+						d[k] += c[i-1][j][k-j]
+					}
+					if k < len(c[i][j-1]) {
+						d[k] += c[i][j-1][k]
+					}
+				}
+			}
+			c[i][j] = d
+		}
+	}
+	var below, total float64
+	for k, n := range c[n1][n2] {
+		total += n
+		if k <= u {
+			below += n
+		}
+	}
+	return below / total
 }
 
 var benchSuffix = regexp.MustCompile(`-\d+$`)

@@ -3,48 +3,74 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 // writeBaseline commits a synthetic trajectory with the given
-// name -> ns/op microbenchmarks as BENCH_<n>.json in dir.
-func writeBaseline(t *testing.T, dir string, n int, micro map[string]float64) string {
+// name -> ns/op samples as BENCH_<n>.json in dir.
+func writeBaseline(t *testing.T, dir string, n int, micro map[string][]float64) string {
 	t.Helper()
 	tr := Trajectory{Schema: benchSchema, PR: n}
-	for name, ns := range micro {
-		tr.Micro = append(tr.Micro, MicroBench{Name: name, Iterations: 10, NsPerOp: ns})
+	for name, samples := range micro {
+		for _, ns := range samples {
+			tr.Micro = append(tr.Micro, MicroBench{Name: name, Iterations: 10, NsPerOp: ns})
+		}
 	}
 	raw, err := json.Marshal(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "BENCH_"+itoa(n)+".json")
+	path := filepath.Join(dir, "BENCH_"+strconv.Itoa(n)+".json")
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
 }
 
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
+// ten returns ten distinct samples spread ±4% around ns, the way
+// repeated runs of one benchmark scatter.
+func ten(ns float64) []float64 {
+	out := make([]float64, 10)
+	for i := range out {
+		out[i] = ns * (0.96 + 0.0085*float64(i))
 	}
-	var b []byte
-	for ; n > 0; n /= 10 {
-		b = append([]byte{byte('0' + n%10)}, b...)
+	return out
+}
+
+// scaled multiplies every sample by f.
+func scaled(xs []float64, f float64) []float64 {
+	out := make([]float64, len(xs))
+	for i, x := range xs {
+		out[i] = x * f
 	}
-	return string(b)
+	return out
+}
+
+// lines renders samples of one benchmark as `go test -bench` result
+// lines (GOMAXPROCS suffix 8).
+func lines(name string, samples []float64) []string {
+	out := make([]string, len(samples))
+	for i, ns := range samples {
+		out[i] = fmt.Sprintf("%s-8   20   %.0f ns/op", name, ns)
+	}
+	return out
 }
 
 // writeBenchOutput captures a fake `go test -bench -benchmem` output.
-func writeBenchOutput(t *testing.T, dir string, lines ...string) string {
+func writeBenchOutput(t *testing.T, dir string, lines ...[]string) string {
 	t.Helper()
 	path := filepath.Join(dir, "bench.out")
-	content := "goos: linux\npkg: codepack\n" + strings.Join(lines, "\n") + "\nPASS\n"
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+	content := "goos: linux\npkg: codepack\n"
+	for _, l := range lines {
+		content += strings.Join(l, "\n") + "\n"
+	}
+	if err := os.WriteFile(path, []byte(content+"PASS\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -57,17 +83,53 @@ func runCompare(t *testing.T, args ...string) (string, error) {
 	return out.String() + errw.String(), err
 }
 
+const (
+	ref  = "BenchmarkDecodeThroughput/reference"
+	fast = "BenchmarkDecodeThroughput/fast"
+)
+
+// TestMannWhitneyU pins the U test's p-values on hand-checkable cases:
+// two fully separated samples of 4 have U = 0, which 1 of the C(8,4) = 70
+// orderings reaches, so the two-sided p is 2/70; of 3, 2/C(6,3) = 0.1.
+// Identical samples (all tied) give p = 1, and the test is symmetric.
+func TestMannWhitneyU(t *testing.T) {
+	cases := []struct {
+		x, y []float64
+		want float64
+	}{
+		{[]float64{1, 2, 3, 4}, []float64{5, 6, 7, 8}, 2.0 / 70},
+		{[]float64{5, 6, 7, 8}, []float64{1, 2, 3, 4}, 2.0 / 70},
+		{[]float64{1, 2, 3}, []float64{4, 5, 6}, 0.1},
+		{[]float64{1, 2, 3, 4}, []float64{1, 2, 3, 4}, 1},
+		// One swapped pair, no ties: U = 1, reached by 1 ordering as is
+		// U = 0, so P(U <= 1) = 2/70.
+		{[]float64{1, 2, 3, 5}, []float64{4, 6, 7, 8}, 4.0 / 70},
+	}
+	for _, c := range cases {
+		if got := mannWhitneyU(c.x, c.y); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("mannWhitneyU(%v, %v) = %.6f, want %.6f", c.x, c.y, got, c.want)
+		}
+	}
+	// With ties the normal approximation applies: fully separated
+	// samples of 10 with one shared value still reject decisively.
+	x := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	y := []float64{10, 11, 12, 13, 14, 15, 16, 17, 18, 19}
+	if p := mannWhitneyU(x, y); p >= 0.001 {
+		t.Errorf("separated samples with a tie: p = %.4f, want < 0.001", p)
+	}
+}
+
 func TestComparePassesWhenStable(t *testing.T) {
 	dir := t.TempDir()
-	base := writeBaseline(t, dir, 8, map[string]float64{
-		"BenchmarkDecodeThroughput/reference": 5_000_000,
-		"BenchmarkDecodeThroughput/fast":      2_000_000,
-		"BenchmarkDecodePooled/pooled":        2_100_000,
+	base := writeBaseline(t, dir, 8, map[string][]float64{
+		ref:                            ten(5_000_000),
+		fast:                           ten(2_000_000),
+		"BenchmarkDecodePooled/pooled": ten(2_100_000),
 	})
 	in := writeBenchOutput(t, dir,
-		"BenchmarkDecodeThroughput/reference-8   100   5100000 ns/op   57.0 MB/s",
-		"BenchmarkDecodeThroughput/fast-8        300   2050000 ns/op  139.0 MB/s",
-		"BenchmarkDecodePooled/pooled-8          300   2150000 ns/op  123.0 MB/s  0 B/op  0 allocs/op",
+		lines(ref, ten(5_100_000)),
+		lines(fast, ten(2_050_000)),
+		lines("BenchmarkDecodePooled/pooled", ten(2_150_000)),
 	)
 	out, err := runCompare(t, "-against", base, "-input", in)
 	if err != nil {
@@ -80,21 +142,39 @@ func TestComparePassesWhenStable(t *testing.T) {
 
 func TestCompareFailsPastThreshold(t *testing.T) {
 	dir := t.TempDir()
-	base := writeBaseline(t, dir, 8, map[string]float64{
-		"BenchmarkDecodeThroughput/reference": 5_000_000,
-		"BenchmarkDecodeThroughput/fast":      2_000_000,
+	base := writeBaseline(t, dir, 8, map[string][]float64{
+		ref:  ten(5_000_000),
+		fast: ten(2_000_000),
 	})
-	// fast got 1.5x slower while the anchor held: a real regression.
+	// fast got 1.5x slower on every sample while the anchor held: a real
+	// regression.
 	in := writeBenchOutput(t, dir,
-		"BenchmarkDecodeThroughput/reference-8   100   5000000 ns/op",
-		"BenchmarkDecodeThroughput/fast-8        200   3000000 ns/op",
+		lines(ref, ten(5_000_000)),
+		lines(fast, scaled(ten(2_000_000), 1.5)),
 	)
 	out, err := runCompare(t, "-against", base, "-input", in)
 	if !errors.Is(err, errRegression) {
 		t.Fatalf("err = %v, want errRegression\n%s", err, out)
 	}
-	if !strings.Contains(out, "REGRESSED") {
+	if !strings.Contains(out, "x1.50  p=0.000  REGRESSED") {
 		t.Fatalf("report missing REGRESSED verdict:\n%s", out)
+	}
+}
+
+// TestCompareIgnoresOneOutlier: one sample of ten three times slower (a
+// scheduler stall) moves neither the median nor the ranks enough to fail.
+func TestCompareIgnoresOneOutlier(t *testing.T) {
+	dir := t.TempDir()
+	base := writeBaseline(t, dir, 8, map[string][]float64{
+		ref:  ten(5_000_000),
+		fast: ten(2_000_000),
+	})
+	stalled := ten(2_000_000)
+	stalled[4] *= 3
+	in := writeBenchOutput(t, dir, lines(ref, ten(5_000_000)), lines(fast, stalled))
+	out, err := runCompare(t, "-against", base, "-input", in)
+	if err != nil || strings.Contains(out, "REGRESSED") {
+		t.Fatalf("one outlier failed the gate: %v\n%s", err, out)
 	}
 }
 
@@ -103,15 +183,15 @@ func TestCompareFailsPastThreshold(t *testing.T) {
 // slowdown so no benchmark trips the threshold.
 func TestCompareAnchorNormalizes(t *testing.T) {
 	dir := t.TempDir()
-	base := writeBaseline(t, dir, 8, map[string]float64{
-		"BenchmarkDecodeThroughput/reference": 5_000_000,
-		"BenchmarkDecodeThroughput/fast":      2_000_000,
-		"BenchmarkCompressThroughput":         9_000_000,
+	base := writeBaseline(t, dir, 8, map[string][]float64{
+		ref:                           ten(5_000_000),
+		fast:                          ten(2_000_000),
+		"BenchmarkCompressThroughput": ten(9_000_000),
 	})
 	in := writeBenchOutput(t, dir,
-		"BenchmarkDecodeThroughput/reference-2   50   10000000 ns/op",
-		"BenchmarkDecodeThroughput/fast-2       100    4000000 ns/op",
-		"BenchmarkCompressThroughput-2           30   18000000 ns/op",
+		lines(ref, ten(10_000_000)),
+		lines(fast, ten(4_000_000)),
+		lines("BenchmarkCompressThroughput", ten(18_000_000)),
 	)
 	out, err := runCompare(t, "-against", base, "-input", in)
 	if err != nil {
@@ -123,8 +203,8 @@ func TestCompareAnchorNormalizes(t *testing.T) {
 	// And conversely: a regression hidden inside a machine slowdown is
 	// still caught after normalization (fast is 4x raw = 2x normalized).
 	in2 := writeBenchOutput(t, dir,
-		"BenchmarkDecodeThroughput/reference-2   50   10000000 ns/op",
-		"BenchmarkDecodeThroughput/fast-2        50    8000000 ns/op",
+		lines(ref, ten(10_000_000)),
+		lines(fast, ten(8_000_000)),
 	)
 	out, err = runCompare(t, "-against", base, "-input", in2)
 	if !errors.Is(err, errRegression) {
@@ -134,10 +214,9 @@ func TestCompareAnchorNormalizes(t *testing.T) {
 
 func TestCompareDefaultBaselineIsHighest(t *testing.T) {
 	dir := t.TempDir()
-	writeBaseline(t, dir, 7, map[string]float64{"BenchmarkDecodeThroughput/fast": 1})
-	writeBaseline(t, dir, 9, map[string]float64{"BenchmarkDecodeThroughput/fast": 2_000_000})
-	in := writeBenchOutput(t, dir,
-		"BenchmarkDecodeThroughput/fast-8   300   2050000 ns/op")
+	writeBaseline(t, dir, 7, map[string][]float64{fast: {1}})
+	writeBaseline(t, dir, 9, map[string][]float64{fast: ten(2_000_000)})
+	in := writeBenchOutput(t, dir, lines(fast, ten(2_050_000)))
 	out, err := runCompare(t, "-dir", dir, "-input", in)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
@@ -152,7 +231,7 @@ func TestCompareUsageErrors(t *testing.T) {
 		t.Error("threshold <= 1 accepted")
 	}
 	dir := t.TempDir()
-	in := writeBenchOutput(t, dir, "BenchmarkX-8 1 100 ns/op")
+	in := writeBenchOutput(t, dir, lines("BenchmarkX", ten(100)))
 	if _, err := runCompare(t, "-dir", dir, "-input", in); err == nil {
 		t.Error("missing baseline accepted")
 	}
@@ -168,12 +247,28 @@ func TestCompareUsageErrors(t *testing.T) {
 	}
 }
 
+// TestCompareRejectsTooFewSamples: with fewer than four samples a side
+// the U test cannot reach p < 0.05, so such a comparison is an error,
+// not a pass — a one-sample baseline such as BENCH_9.json included.
+func TestCompareRejectsTooFewSamples(t *testing.T) {
+	dir := t.TempDir()
+	base := writeBaseline(t, dir, 8, map[string][]float64{
+		ref:  {5_000_000, 5_100_000, 4_900_000},
+		fast: ten(2_000_000),
+	})
+	in := writeBenchOutput(t, dir, lines(ref, ten(5_000_000)), lines(fast, scaled(ten(2_000_000), 3)))
+	out, err := runCompare(t, "-against", base, "-input", in)
+	if err == nil || errors.Is(err, errRegression) || !strings.Contains(err.Error(), "3 samples") {
+		t.Fatalf("3-sample baseline: err = %v, want a sample-count error\n%s", err, out)
+	}
+}
+
 // TestCompareDisjointSetsPass: a baseline that predates a benchmark must
 // not fail the run (new benchmarks have no history to regress against).
 func TestCompareDisjointSetsPass(t *testing.T) {
 	dir := t.TempDir()
-	base := writeBaseline(t, dir, 8, map[string]float64{"BenchmarkOld": 1000})
-	in := writeBenchOutput(t, dir, "BenchmarkNew-8  100  2000 ns/op")
+	base := writeBaseline(t, dir, 8, map[string][]float64{"BenchmarkOld": ten(1000)})
+	in := writeBenchOutput(t, dir, lines("BenchmarkNew", []float64{2000}))
 	out, err := runCompare(t, "-against", base, "-input", in)
 	if err != nil {
 		t.Fatalf("disjoint sets failed: %v\n%s", err, out)
@@ -183,18 +278,21 @@ func TestCompareDisjointSetsPass(t *testing.T) {
 	}
 }
 
-// TestRecordThenCompare: -record writes a baseline the gate reads back.
-// Comparing the recorded capture with itself is x1.00 everywhere; one
-// benchmark slowed 1.5x fails the gate; and -record refuses a file name
-// that does not carry a PR number.
+// TestRecordThenCompare: -record writes every sample to a baseline the
+// gate reads back. Comparing the recorded capture with itself is x1.00
+// everywhere; all ten samples of one benchmark slowed 1.5x fail the
+// gate; and -record refuses a file name that does not carry a PR number.
 func TestRecordThenCompare(t *testing.T) {
 	dir := t.TempDir()
-	in := writeBenchOutput(t, dir,
-		"BenchmarkCompressThroughput-2          5   2244619 ns/op  132.21 MB/s  390916 B/op  8 allocs/op",
-		"BenchmarkDecodeThroughput/reference-2  5   8162691 ns/op   36.36 MB/s  303104 B/op  1 allocs/op",
-		"BenchmarkDecodeThroughput/fast-2       5   2401617 ns/op  123.57 MB/s  303104 B/op  1 allocs/op",
-		"BenchmarkServerCompress/hit-2          5   1241502 ns/op  436156 B/op  197 allocs/op",
-	)
+	capture := func(fastFactor float64) string {
+		return writeBenchOutput(t, dir,
+			lines("BenchmarkCompressThroughput", ten(2_244_619)),
+			lines(ref, ten(8_162_691)),
+			lines(fast, scaled(ten(2_401_617), fastFactor)),
+			lines("BenchmarkServerCompress/hit", ten(1_241_502)),
+		)
+	}
+	in := capture(1)
 	base := filepath.Join(dir, "BENCH_42.json")
 	if out, err := runCompare(t, "-record", base, "-input", in); err != nil {
 		t.Fatalf("record: %v\n%s", err, out)
@@ -207,26 +305,20 @@ func TestRecordThenCompare(t *testing.T) {
 	if err := json.Unmarshal(raw, &tr); err != nil {
 		t.Fatalf("recorded baseline is not JSON: %v", err)
 	}
-	if tr.Schema != benchSchema || tr.PR != 42 || len(tr.Micro) != 4 {
-		t.Fatalf("recorded header schema=%q pr=%d with %d benchmarks", tr.Schema, tr.PR, len(tr.Micro))
+	if tr.Schema != benchSchema || tr.PR != 42 || len(tr.Micro) != 40 {
+		t.Fatalf("recorded header schema=%q pr=%d with %d samples, want 40", tr.Schema, tr.PR, len(tr.Micro))
 	}
 
 	out, err := runCompare(t, "-against", base, "-input", in)
 	if err != nil {
 		t.Fatalf("self-compare failed: %v\n%s", err, out)
 	}
-	if n := strings.Count(out, "x1.00  ok"); n != 3 {
+	if n := strings.Count(out, "x1.00  p=1.000  ok"); n != 3 {
 		t.Fatalf("self-compare: %d of 3 benchmarks at x1.00:\n%s", n, out)
 	}
 
-	slow := writeBenchOutput(t, dir,
-		"BenchmarkCompressThroughput-2          5   2244619 ns/op",
-		"BenchmarkDecodeThroughput/reference-2  5   8162691 ns/op",
-		"BenchmarkDecodeThroughput/fast-2       5   3602426 ns/op",
-		"BenchmarkServerCompress/hit-2          5   1241502 ns/op",
-	)
-	out, err = runCompare(t, "-against", base, "-input", slow)
-	if !errors.Is(err, errRegression) || !strings.Contains(out, "x1.50  REGRESSED") {
+	out, err = runCompare(t, "-against", base, "-input", capture(1.5))
+	if !errors.Is(err, errRegression) || !strings.Contains(out, "x1.50  p=0.000  REGRESSED") {
 		t.Fatalf("1.5x slowdown: err = %v\n%s", err, out)
 	}
 

@@ -7,9 +7,9 @@
 //
 //	cpackd [-addr :8321] [-cache-dir /var/lib/cpackd] [-light-workers N] ...
 //
-// With -cache-dir set the compression cache is durable: entries persist
-// to a crash-safe log + snapshot pair and are reloaded on boot, so a
-// restart keeps its warm cache. The daemon drains gracefully on
+// With -cache-dir set the compression cache is durable: each verified
+// entry persists as one checksummed file named by its digest and is
+// reloaded on boot, so a restart keeps its warm cache. The daemon drains gracefully on
 // SIGINT/SIGTERM: the listener stops, in-flight requests and their pooled
 // work complete (up to -drain-timeout), the cache is flushed, then the
 // process exits. See docs/SERVER.md for the API contract.

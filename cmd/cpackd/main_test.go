@@ -151,10 +151,10 @@ func (d *daemon) metrics(t *testing.T) string {
 
 // TestKillRestartRecoversCache is the acceptance-criteria test: a real
 // cpackd process is populated over HTTP, killed with SIGKILL (no drain,
-// no flush), its log is given a torn tail as if the kill had landed
-// mid-write, and a second process on the same -cache-dir must serve the
-// same program from cache with zero recompression, then drain cleanly on
-// SIGTERM.
+// no flush), a torn copy of its entry file is left under a second digest
+// name as if the kill had landed mid-write, and a second process on the
+// same -cache-dir must serve the same program from cache with zero
+// recompression, remove the torn file, then drain cleanly on SIGTERM.
 func TestKillRestartRecoversCache(t *testing.T) {
 	if os.Getenv("CPACKD_TEST_MAIN") == "1" {
 		args := os.Args
@@ -184,28 +184,24 @@ func TestKillRestartRecoversCache(t *testing.T) {
 		t.Fatal("second compression in the same process not cached")
 	}
 
-	// SIGKILL: no graceful drain, no final snapshot — recovery must work
-	// from the append-only log alone.
+	// SIGKILL: no graceful drain, no fsync — recovery must work from
+	// whatever entry files reached the page cache.
 	if err := d1.cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
 	d1.cmd.Wait()
 
-	// Make the crash as rude as possible: a torn half-record at the tail,
-	// as if the kill had landed mid-append.
-	logPath := filepath.Join(dir, "cache.log")
-	f, err := os.OpenFile(logPath, os.O_APPEND|os.O_WRONLY, 0o644)
+	// Make the crash as rude as possible: a second entry file cut off
+	// mid-payload, as if the kill had landed during its write.
+	entry := filepath.Join(dir, first.Digest)
+	raw, err := os.ReadFile(entry)
 	if err != nil {
-		t.Fatalf("cache log missing after kill: %v", err)
+		t.Fatalf("entry file missing after kill: %v", err)
 	}
-	torn := make([]byte, 21)
-	for i := range torn {
-		torn[i] = 0x5A
-	}
-	if _, err := f.Write(torn); err != nil {
+	torn := strings.Repeat("0", len(first.Digest))
+	if err := os.WriteFile(filepath.Join(dir, torn), raw[:len(raw)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
 
 	d2 := startDaemon(t, args...)
 	second := d2.compress(t)
@@ -218,12 +214,16 @@ func TestKillRestartRecoversCache(t *testing.T) {
 	m := d2.metrics(t)
 	for _, want := range []string{
 		"cpackd_cache_persist_restored_entries 1",
-		"cpackd_cache_persist_tail_truncations_total 1",
+		"cpackd_cache_persist_records_skipped_total 1",
 		"cpackd_cache_misses_total 0",
 	} {
 		if !strings.Contains(m, want) {
 			t.Errorf("metrics missing %q after restart", want)
 		}
+	}
+
+	if _, err := os.Stat(filepath.Join(dir, torn)); !os.IsNotExist(err) {
+		t.Errorf("torn entry file not removed: %v", err)
 	}
 
 	// And the survivor still shuts down gracefully.

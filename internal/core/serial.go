@@ -54,6 +54,12 @@ func UnmarshalCompressed(name string, b []byte) (*Compressed, error) {
 		return nil, fmt.Errorf("core: compressed image is %d bytes, header implies %d",
 			len(b), need)
 	}
+	// The index covers the text in whole groups; a larger instruction
+	// count would make decoders slice past the blocks they decoded.
+	if c.NumInstr > nIdx*GroupInstrs {
+		return nil, fmt.Errorf("core: %d instructions exceed the %d index groups",
+			c.NumInstr, nIdx)
+	}
 	off := 28
 	readDict := func(n int) (*Dict, error) {
 		entries := make([]uint16, n)

@@ -58,7 +58,7 @@ func NewHandler(src Source, logger *slog.Logger) *Handler {
 // SHA-256 in the sum header, or 404.
 func (h *Handler) Get(w http.ResponseWriter, r *http.Request) {
 	digest := r.PathValue("digest")
-	if !validDigest(digest) {
+	if !ValidDigest(digest) {
 		http.Error(w, "bad digest", http.StatusBadRequest)
 		return
 	}
@@ -79,7 +79,7 @@ func (h *Handler) Get(w http.ResponseWriter, r *http.Request) {
 // program the digest names.
 func (h *Handler) Put(w http.ResponseWriter, r *http.Request) {
 	digest := r.PathValue("digest")
-	if !validDigest(digest) {
+	if !ValidDigest(digest) {
 		http.Error(w, "bad digest", http.StatusBadRequest)
 		return
 	}
@@ -119,7 +119,7 @@ func (h *Handler) Offer(w http.ResponseWriter, r *http.Request) {
 	}
 	valid := req.Digests[:0]
 	for _, d := range req.Digests {
-		if validDigest(d) {
+		if ValidDigest(d) {
 			valid = append(valid, d)
 		}
 	}
@@ -127,9 +127,10 @@ func (h *Handler) Offer(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(offerResponse{Want: h.src.Missing(valid)})
 }
 
-// validDigest reports whether s is a well-formed cache key: 64
-// lowercase hex characters (an SHA-256).
-func validDigest(s string) bool {
+// ValidDigest reports whether s is a well-formed cache key: 64
+// lowercase hex characters (an SHA-256). The durable cache store relies
+// on it to keep every file name it touches inside its directory.
+func ValidDigest(s string) bool {
 	if len(s) != 64 {
 		return false
 	}

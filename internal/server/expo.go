@@ -303,24 +303,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	if st := s.cache.store; st != nil {
 		ss := st.statsSnapshot()
-		x.family("cpackd_cache_persist_restored_entries", "gauge", "Cache entries restored from disk at startup.")
+		x.family("cpackd_cache_persist_restored_entries", "gauge", "Cache entries restored from their entry files at startup.")
 		x.gaugeInt("cpackd_cache_persist_restored_entries", "", int64(ss.RestoredEntries))
-		x.family("cpackd_cache_persist_replayed_bytes", "gauge", "Log and snapshot bytes replayed at startup.")
-		x.gaugeInt("cpackd_cache_persist_replayed_bytes", "", int64(ss.BytesReplayed))
-		x.family("cpackd_cache_persist_records_skipped_total", "counter", "Persisted records rejected during recovery.")
+		x.family("cpackd_cache_persist_records_skipped_total", "counter", "Damaged entry files removed during recovery.")
 		x.counter("cpackd_cache_persist_records_skipped_total", "", ss.RecordsSkipped)
-		x.family("cpackd_cache_persist_tail_truncations_total", "counter", "Torn log tails truncated during recovery.")
-		x.counter("cpackd_cache_persist_tail_truncations_total", "", ss.TailTruncations)
-		x.family("cpackd_cache_persist_appends_total", "counter", "Entries appended to the cache log.")
+		x.family("cpackd_cache_persist_appends_total", "counter", "Entry files written.")
 		x.counter("cpackd_cache_persist_appends_total", "", ss.Appends)
-		x.family("cpackd_cache_persist_append_errors_total", "counter", "Cache log append failures.")
+		x.family("cpackd_cache_persist_append_errors_total", "counter", "Entry file writes and removals that failed.")
 		x.counter("cpackd_cache_persist_append_errors_total", "", ss.AppendErrors)
-		x.family("cpackd_cache_persist_compactions_total", "counter", "Snapshot compactions completed.")
-		x.counter("cpackd_cache_persist_compactions_total", "", ss.Compactions)
-		x.family("cpackd_cache_persist_log_bytes", "gauge", "Current cache log size.")
-		x.gaugeInt("cpackd_cache_persist_log_bytes", "", ss.LogBytes)
-		x.family("cpackd_cache_persist_snapshot_bytes", "gauge", "Last compacted snapshot size.")
-		x.gaugeInt("cpackd_cache_persist_snapshot_bytes", "", ss.SnapshotBytes)
 	}
 
 	if tenants := m.tenantNames(); len(tenants) > 0 {

@@ -1,110 +1,79 @@
 package server
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-// fuzzSeedLog builds a valid cache log holding n records, returned as raw
-// bytes, so the fuzzer starts from well-formed corpora.
-func fuzzSeedLog(f *testing.F, n int) []byte {
-	f.Helper()
-	dir := f.TempDir()
-	st, _, err := openStore(dir, quietLogger())
-	if err != nil {
-		f.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		payload := make([]byte, 16+i*7)
-		for j := range payload {
-			payload[j] = byte(i*31 + j)
-		}
-		if err := st.append(string(rune('a'+i))+"-key", payload); err != nil {
-			f.Fatal(err)
-		}
-	}
-	if err := st.close(); err != nil {
-		f.Fatal(err)
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, logFileName))
-	if err != nil {
-		f.Fatal(err)
-	}
-	return raw
-}
+// FuzzLoadCacheEntry feeds arbitrary bytes to the entry file decoder: it
+// must never panic, must accept input only when the header is intact and
+// the payload matches its SHA-256, and an accepted file must be exactly
+// what encodeEntry writes. Any payload must round-trip encode → decode.
+// Seeds cover the shapes recovery exists for: truncation, bit flips and
+// a wrong magic.
+func FuzzLoadCacheEntry(f *testing.F) {
+	good := encodeEntry(3, bytes.Repeat([]byte("payload"), 9))
+	flipped := bytes.Clone(good)
+	flipped[len(flipped)/2] ^= 0x40
+	badMagic := bytes.Clone(good)
+	badMagic[0] ^= 0xFF
+	f.Add(good, uint64(1))
+	f.Add(good[:entryHeader-5], uint64(2)) // cut mid-header
+	f.Add(good[:len(good)-5], uint64(3))   // cut mid-payload
+	f.Add(flipped, uint64(4))
+	f.Add(badMagic, uint64(5))
+	f.Add([]byte{}, uint64(0))
+	f.Add(make([]byte, 256), ^uint64(0))
 
-// FuzzLoadCacheLog feeds arbitrary bytes to the shared log/snapshot
-// decoder: it must never panic, never report a good offset beyond the
-// input, and never yield an entry whose payload fails its recorded
-// SHA-256 or whose key is out of bounds. Seeds cover the corruption
-// shapes the recovery path exists for — truncation, bit flips and
-// duplicated records.
-func FuzzLoadCacheLog(f *testing.F) {
-	good := fuzzSeedLog(f, 4)
-	f.Add(good)
-	f.Add(good[:len(good)-5])                         // torn tail
-	f.Add(append(append([]byte{}, good...), good...)) // duplicated stream (magic repeats mid-file)
-	flipped := append([]byte(nil), good...)
-	flipped[len(flipped)/2] ^= 0x40 // bit flip in a record body
-	f.Add(flipped)
-	f.Add([]byte(storeMagic))
-	f.Add([]byte{})
-	f.Add(make([]byte, 256))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		st := &diskStore{log: quietLogger()}
-		var entries []storedEntry
-		good := st.replay(data, "fuzz", func(e storedEntry) { entries = append(entries, e) })
-		if good < 0 || good > int64(len(data)) {
-			t.Fatalf("good offset %d outside input of %d bytes", good, len(data))
-		}
-		for _, e := range entries {
-			if sha256.Sum256(e.payload) != e.sum {
-				t.Fatalf("recovered entry %q fails payload verification", e.key)
+	f.Fuzz(func(t *testing.T, data []byte, seq uint64) {
+		if got, payload, ok := decodeEntry(data); ok {
+			sum := sha256.Sum256(payload)
+			if len(data) < entryHeader || string(data[:len(entryMagic)]) != entryMagic ||
+				!bytes.Equal(sum[:], data[len(entryMagic)+8:entryHeader]) {
+				t.Fatalf("accepted a file with a damaged header or sum: %x", data)
 			}
-			if len(e.key) == 0 || len(e.key) > maxRecordKey {
-				t.Fatalf("recovered entry with illegal key length %d", len(e.key))
+			if !bytes.Equal(encodeEntry(got, payload), data) {
+				t.Fatalf("accepted file is not what encodeEntry writes for seq %d", got)
 			}
 		}
-
-		// Replaying only the good prefix must reproduce exactly the same
-		// entries: truncation at `good` is what recovery persists.
-		st2 := &diskStore{log: quietLogger()}
-		var again []storedEntry
-		good2 := st2.replay(data[:good], "fuzz-prefix", func(e storedEntry) { again = append(again, e) })
-		if good2 != good {
-			t.Fatalf("good prefix shrank on re-replay: %d then %d", good, good2)
-		}
-		if len(again) != len(entries) {
-			t.Fatalf("prefix replay yielded %d entries, full replay %d", len(again), len(entries))
+		got, payload, ok := decodeEntry(encodeEntry(seq, data))
+		if !ok || got != seq || !bytes.Equal(payload, data) {
+			t.Fatalf("round trip of %d payload bytes at seq %d: ok=%v seq=%d", len(data), seq, ok, got)
 		}
 	})
 }
 
-// FuzzRecoverCacheDir drives full filesystem recovery on fuzzed log
-// bytes: openStore must not panic or error, a torn tail must leave the
-// log appendable, and an appended record must survive a reopen. Slower
-// than FuzzLoadCacheLog (real files), so it keeps a minimal corpus.
+// FuzzRecoverCacheDir drives full filesystem recovery with fuzzed bytes
+// in one entry file beside a valid one: openStore must not fail, the
+// valid entry must be restored, and an entry written after recovery must
+// survive a reopen. Slower than FuzzLoadCacheEntry (real files), so it
+// keeps a minimal corpus.
 func FuzzRecoverCacheDir(f *testing.F) {
-	good := fuzzSeedLog(f, 2)
+	good := encodeEntry(0, []byte("a valid neighbour"))
 	f.Add(good)
 	f.Add(good[:len(good)-3])
 	f.Add([]byte{})
 
+	validKey, fuzzKey, freshKey := digestKey("valid"), digestKey("fuzzed"), digestKey("fresh")
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, logFileName), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, validKey), good, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		st, _, err := openStore(dir, quietLogger())
+		if err := os.WriteFile(filepath.Join(dir, fuzzKey), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, entries, err := openStore(dir, quietLogger())
 		if err != nil {
 			t.Fatalf("openStore failed on corrupt input: %v", err)
 		}
-		if err := st.append("post-recovery", []byte("fresh")); err != nil {
-			t.Fatalf("append after recovery: %v", err)
+		if !hasEntry(entries, validKey, []byte("a valid neighbour")) {
+			t.Fatal("valid entry beside the fuzzed file was not restored")
 		}
+		storeWrite(t, st, freshKey, []byte("fresh"))
 		if err := st.close(); err != nil {
 			t.Fatalf("close after recovery: %v", err)
 		}
@@ -113,14 +82,17 @@ func FuzzRecoverCacheDir(f *testing.F) {
 			t.Fatalf("reopen after recovery: %v", err)
 		}
 		defer st2.close()
-		found := false
-		for _, e := range entries {
-			if e.key == "post-recovery" && string(e.payload) == "fresh" {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatal("record appended after recovery did not survive a reopen")
+		if !hasEntry(entries, freshKey, []byte("fresh")) || !hasEntry(entries, validKey, []byte("a valid neighbour")) {
+			t.Fatal("an entry did not survive a reopen after recovery")
 		}
 	})
+}
+
+func hasEntry(entries []storedEntry, key string, payload []byte) bool {
+	for _, e := range entries {
+		if e.key == key && bytes.Equal(e.payload, payload) {
+			return true
+		}
+	}
+	return false
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"log/slog"
-	"sort"
 	"sync"
 
 	"codepack"
@@ -17,14 +16,12 @@ import (
 // (hundreds of entries, each worth a full dictionary build) is noise next
 // to a compression, and keeps the structure a flat map with no list links.
 //
-// With a diskStore attached the cache is durable: every newly inserted
-// entry is appended to the store's log (outside the cache lock, so disk
-// latency never blocks readers), a background goroutine cuts compacted
-// snapshots when the log outgrows them, and close flushes a final
-// snapshot. Lock order is always cache.mu before store.mu is NOT allowed:
-// the cache lock is released before any store call, and compaction's
-// collect callback is the one place the store holds its own lock while
-// briefly taking the cache lock.
+// With a diskStore attached the cache is durable: every entry that
+// becomes verified is written to its own file, and every eviction
+// removes the evicted entry's file, so the directory holds the resident
+// verified set. Disk work runs outside the cache lock, so disk latency
+// never blocks readers; persist is the one place that takes the cache
+// lock while holding the store's.
 type compCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -35,12 +32,8 @@ type compCache struct {
 	bytes                   int64
 
 	// Persistence (nil store = memory only).
-	store     *diskStore
-	log       *slog.Logger
-	compactCh chan struct{}
-	stopCh    chan struct{}
-	loopDone  chan struct{}
-	closeOnce sync.Once
+	store *diskStore
+	log   *slog.Logger
 }
 
 type compEntry struct {
@@ -79,10 +72,10 @@ func newCompCache(capEntries int) *compCache {
 }
 
 // attachStore makes the cache durable: recovered entries are loaded in
-// replay order (so their relative recency survives the restart) and the
-// background compactor starts. Returns the number of entries actually
-// restored into the cache; entries whose payloads no longer parse are
-// skipped, and entries beyond the cache capacity evict oldest-first.
+// write order, oldest first. Returns the number of entries restored into
+// the cache; entries whose payloads no longer parse are removed from
+// disk, and entries beyond the cache capacity evict oldest-first, their
+// files removed like any other eviction's.
 func (c *compCache) attachStore(st *diskStore, recovered []storedEntry, logger *slog.Logger) int {
 	if c.cap <= 0 || st == nil {
 		return 0
@@ -90,28 +83,24 @@ func (c *compCache) attachStore(st *diskStore, recovered []storedEntry, logger *
 	if logger != nil {
 		c.log = logger
 	}
+	c.store = st
 	restored := 0
 	for _, e := range recovered {
 		comp, err := codepack.UnmarshalCompressed("cached", e.payload)
 		if err != nil {
-			c.log.Warn("restored cache record does not parse, skipping",
-				"key", e.key, "err", err)
-			st.mu.Lock()
-			st.stats.RecordsSkipped++
-			st.stats.RestoredEntries--
-			st.mu.Unlock()
+			st.discard(e.key, "payload does not parse")
 			continue
 		}
 		// Only verified entries are persisted, so restored entries are
-		// trusted as verified.
-		c.putMem(e.key, comp, true)
+		// trusted as verified, and they are on disk already.
+		if _, evicted := c.putMem(e.key, comp, true); evicted != "" {
+			c.persist(evicted)
+		}
 		restored++
 	}
-	c.store = st
-	c.compactCh = make(chan struct{}, 1)
-	c.stopCh = make(chan struct{})
-	c.loopDone = make(chan struct{})
-	go c.compactLoop()
+	st.mu.Lock()
+	st.stats.RestoredEntries = uint64(restored)
+	st.mu.Unlock()
 	return restored
 }
 
@@ -152,97 +141,122 @@ func (c *compCache) lookup(key string, countMiss bool) (comp *codepack.Compresse
 }
 
 func (c *compCache) put(key string, comp *codepack.Compressed) {
-	if !c.putMem(key, comp, true) {
-		return
-	}
-	c.persist(key, comp)
+	c.insert(key, comp, true)
 }
 
 // putReplicated quarantines an entry pushed by a peer: resident and
 // servable to other peers, but unverified — never persisted and never
 // trusted by a local request until confirm proves it.
 func (c *compCache) putReplicated(key string, comp *codepack.Compressed) {
-	c.putMem(key, comp, false)
+	c.insert(key, comp, false)
 }
 
-// confirm marks a quarantined entry as verified (the caller has proved
-// its payload against the program) and persists it.
-func (c *compCache) confirm(key string) {
+func (c *compCache) insert(key string, comp *codepack.Compressed, verified bool) {
+	nowVerified, evicted := c.putMem(key, comp, verified)
+	if evicted != "" {
+		c.persist(evicted)
+	}
+	if nowVerified {
+		c.persist(key)
+	}
+}
+
+// confirm marks key's quarantined entry verified and persists it, if the
+// entry still holds comp, the payload the caller proved against its
+// program: an eviction and a fresh push may have replaced it since.
+func (c *compCache) confirm(key string, comp *codepack.Compressed) {
 	c.mu.Lock()
-	var comp *codepack.Compressed
-	if e, ok := c.entries[key]; ok && !e.verified {
+	e, ok := c.entries[key]
+	ok = ok && e.comp == comp && !e.verified
+	if ok {
 		e.verified = true
-		comp = e.comp
 	}
 	c.mu.Unlock()
-	if comp != nil {
-		c.persist(key, comp)
+	if ok {
+		c.persist(key)
 	}
 }
 
-// drop removes an entry outright (a quarantined replica that failed
-// verification).
-func (c *compCache) drop(key string) {
+// drop removes key's quarantined entry if it still holds comp, the
+// payload the caller saw fail verification.
+func (c *compCache) drop(key string, comp *codepack.Compressed) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
+	if e, ok := c.entries[key]; ok && e.comp == comp && !e.verified {
 		c.bytes -= e.bytes
 		delete(c.entries, key)
 	}
 }
 
-// persist appends one verified entry to the durable store, outside the
-// cache lock: a slow disk must not block gets.
-func (c *compCache) persist(key string, comp *codepack.Compressed) {
-	if c.store == nil {
+// persist makes key's entry file match the cache: written when key is
+// resident and verified, removed otherwise. The check runs under the
+// cache lock while the store lock is held, so persists of one key apply
+// in the order they observed the cache, and the last one leaves the
+// file matching the cache's final state. Every change to a key's
+// residency or verification is followed by a persist of that key.
+func (c *compCache) persist(key string) {
+	st := c.store
+	if st == nil {
 		return
 	}
-	if err := c.store.append(key, comp.Marshal()); err != nil {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	c.mu.Lock()
+	var comp *codepack.Compressed
+	if e, ok := c.entries[key]; ok && e.verified {
+		comp = e.comp
+	}
+	c.mu.Unlock()
+	var err error
+	if comp != nil {
+		err = st.write(key, comp.Marshal())
+	} else {
+		err = st.remove(key)
+	}
+	if err != nil {
 		c.log.Warn("cache persist failed", "key", key, "err", err)
-		return
-	}
-	if c.store.needCompact() {
-		select {
-		case c.compactCh <- struct{}{}:
-		default: // a compaction signal is already pending
-		}
 	}
 }
 
-// putMem inserts into the in-memory map and reports whether key was newly
-// added (false for refreshes of a resident entry and for a disabled cache).
-// Refreshing an entry never downgrades it: a verified entry stays verified
+// putMem inserts into the in-memory map. It reports whether the call made
+// key's entry newly verified — a new verified entry, or a verified put
+// over a quarantined replica, which takes the put's payload since the
+// replica's was never proven — and which key, if any, it evicted. A
+// refresh never downgrades an entry: a verified entry stays verified
 // even if a peer replicates the same digest again.
-func (c *compCache) putMem(key string, comp *codepack.Compressed, verified bool) bool {
+func (c *compCache) putMem(key string, comp *codepack.Compressed, verified bool) (nowVerified bool, evicted string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.cap <= 0 {
-		return false
+		return false, ""
 	}
+	c.clock++
 	if e, ok := c.entries[key]; ok {
-		c.clock++
 		e.stamp = c.clock
-		e.verified = e.verified || verified
-		return false
+		if e.verified || !verified {
+			return false, ""
+		}
+		bytes := int64(comp.Stats().CompressedBytes())
+		c.bytes += bytes - e.bytes
+		e.comp, e.bytes, e.verified = comp, bytes, true
+		return true, ""
 	}
 	if len(c.entries) >= c.cap {
-		var victim string
 		var oldest uint64
 		first := true
 		for k, e := range c.entries {
 			if first || e.stamp < oldest {
-				victim, oldest, first = k, e.stamp, false
+				evicted, oldest, first = k, e.stamp, false
 			}
 		}
-		c.bytes -= c.entries[victim].bytes
-		delete(c.entries, victim)
+		c.bytes -= c.entries[evicted].bytes
+		delete(c.entries, evicted)
 		c.evictions++
 	}
-	c.clock++
 	bytes := int64(comp.Stats().CompressedBytes())
 	c.entries[key] = &compEntry{comp: comp, stamp: c.clock, bytes: bytes, verified: verified}
 	c.bytes += bytes
-	return true
+	return verified, evicted
 }
 
 // payload returns the marshalled bytes cached under key for the peer
@@ -285,66 +299,15 @@ func (c *compCache) keys() []string {
 	return out
 }
 
-// compactLoop runs snapshot compactions off the request path.
-func (c *compCache) compactLoop() {
-	defer close(c.loopDone)
-	for {
-		select {
-		case <-c.compactCh:
-			if err := c.compactNow(); err != nil {
-				c.log.Warn("cache compaction failed", "err", err)
-			}
-		case <-c.stopCh:
-			return
-		}
-	}
-}
-
-// compactNow cuts a snapshot of the live verified entries, oldest first
-// so replay order preserves recency on the next boot. Only the entry list
-// is taken under the cache lock: marshalling runs after it is released,
-// still inside collect and so under the store lock, and encodeRecord
-// hashes each payload itself.
-func (c *compCache) compactNow() error {
-	return c.store.compact(func() []storedEntry {
-		type aged struct {
-			key   string
-			comp  *codepack.Compressed
-			stamp uint64
-		}
-		c.mu.Lock()
-		order := make([]aged, 0, len(c.entries))
-		for k, e := range c.entries {
-			if e.verified {
-				order = append(order, aged{k, e.comp, e.stamp})
-			}
-		}
-		c.mu.Unlock()
-		sort.Slice(order, func(i, j int) bool { return order[i].stamp < order[j].stamp })
-		out := make([]storedEntry, len(order))
-		for i, a := range order {
-			out[i] = storedEntry{key: a.key, payload: a.comp.Marshal()}
-		}
-		return out
-	})
-}
-
-// close stops the compactor, flushes a final snapshot (the SIGTERM flush)
-// and closes the store. Safe to call multiple times and with no store.
+// close makes the persisted entries durable (the SIGTERM flush) and
+// closes the store. Safe to call multiple times and with no store.
 func (c *compCache) close() {
-	c.closeOnce.Do(func() {
-		if c.store == nil {
-			return
-		}
-		close(c.stopCh)
-		<-c.loopDone
-		if err := c.compactNow(); err != nil {
-			c.log.Warn("final cache flush failed", "err", err)
-		}
-		if err := c.store.close(); err != nil {
-			c.log.Warn("cache store close failed", "err", err)
-		}
-	})
+	if c.store == nil {
+		return
+	}
+	if err := c.store.close(); err != nil {
+		c.log.Warn("cache store close failed", "err", err)
+	}
 }
 
 func (c *compCache) stats() cacheStats {

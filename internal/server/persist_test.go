@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -53,14 +54,12 @@ func TestRestartRecoversCache(t *testing.T) {
 	if got := scrapeMetric(t, ts2, "cpackd_cache_persist_restored_entries"); got != 1 {
 		t.Errorf("cpackd_cache_persist_restored_entries = %v, want 1", got)
 	}
-	if got := scrapeMetric(t, ts2, "cpackd_cache_persist_replayed_bytes"); got <= 0 {
-		t.Errorf("cpackd_cache_persist_replayed_bytes = %v, want > 0", got)
-	}
 }
 
-// TestRestartAfterTornTail is the kill -9 shape at the package level: the
-// log ends mid-record (as after a SIGKILL during an append) and the next
-// boot must still recover every complete entry.
+// TestRestartAfterTornTail is the kill -9 shape at the package level: an
+// entry file cut short (as after a SIGKILL during its write) sits beside
+// an intact one, and the next boot must restore the intact entry and
+// remove and count the torn one.
 func TestRestartAfterTornTail(t *testing.T) {
 	dir := t.TempDir()
 	req := CompressRequest{ProgramRef: ProgramRef{ImageB64: testImageB64(t)}}
@@ -70,41 +69,43 @@ func TestRestartAfterTornTail(t *testing.T) {
 	ts1.Close()
 	s1.Close()
 
-	// Append half a record to the log: a torn tail.
-	logPath := filepath.Join(dir, logFileName)
-	torn := encodeRecord("torn-key", make([]byte, 512))
-	f, err := os.OpenFile(logPath, os.O_APPEND|os.O_WRONLY, 0o644)
+	files := entryFiles(t, dir)
+	if len(files) != 1 {
+		t.Fatalf("entry files after one compression: %v", files)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, files[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(torn[:len(torn)/3]); err != nil {
+	tornPath := filepath.Join(dir, digestKey("torn"))
+	if err := os.WriteFile(tornPath, raw[:len(raw)/3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
 
 	_, ts2 := newTestServer(t, Config{CacheDir: dir})
 	resp := decodeBody[CompressResponse](t, postJSON(t, ts2.URL+"/v1/compress", req), http.StatusOK)
 	if !resp.Cached {
-		t.Error("entry before the torn tail was not recovered")
+		t.Error("intact entry beside the torn file was not recovered")
 	}
-	if got := scrapeMetric(t, ts2, "cpackd_cache_persist_tail_truncations_total"); got < 1 {
-		t.Errorf("cpackd_cache_persist_tail_truncations_total = %v, want >= 1", got)
+	if got := scrapeMetric(t, ts2, "cpackd_cache_persist_records_skipped_total"); got != 1 {
+		t.Errorf("cpackd_cache_persist_records_skipped_total = %v, want 1", got)
+	}
+	if _, err := os.Stat(tornPath); !os.IsNotExist(err) {
+		t.Errorf("torn entry file not removed: %v", err)
 	}
 }
 
 // TestPersistedCacheRespectsCapacity: restoring more entries than the
-// cache holds must evict oldest-first, not grow past the cap.
+// cache holds must evict oldest-first, not grow past the cap, and remove
+// the evicted entries' files.
 func TestPersistedCacheRespectsCapacity(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := openTestStore(t, dir)
 	var keys []string
 	for i := 0; i < 6; i++ {
-		comp := makeComp(t, uint32(i+1))
-		key := fmt.Sprintf("key-%d", i)
+		key := digestKey(fmt.Sprintf("key-%d", i))
 		keys = append(keys, key)
-		if err := st.append(key, comp.Marshal()); err != nil {
-			t.Fatal(err)
-		}
+		storeWrite(t, st, key, makeComp(t, uint32(i+1)).Marshal())
 	}
 	if err := st.close(); err != nil {
 		t.Fatal(err)
@@ -119,10 +120,13 @@ func TestPersistedCacheRespectsCapacity(t *testing.T) {
 	if s := c.stats(); s.Entries != 4 || s.Evictions != 2 {
 		t.Fatalf("stats %+v, want 4 entries after 2 evictions", s)
 	}
-	// The two oldest records are the evicted ones.
+	// The two oldest entries are the evicted ones.
 	for _, k := range keys[:2] {
 		if _, ok := c.get(k); ok {
 			t.Errorf("oldest key %s survived past capacity", k)
+		}
+		if _, err := os.Stat(filepath.Join(dir, k)); !os.IsNotExist(err) {
+			t.Errorf("evicted key %s still has its entry file: %v", k, err)
 		}
 	}
 	for _, k := range keys[2:] {
@@ -130,48 +134,65 @@ func TestPersistedCacheRespectsCapacity(t *testing.T) {
 			t.Errorf("recent key %s missing after restore", k)
 		}
 	}
+	if got, want := entryFiles(t, dir), slices.Sorted(slices.Values(keys[2:])); !slices.Equal(got, want) {
+		t.Errorf("entry files %v, want the four resident keys", got)
+	}
 }
 
-// TestCompCacheSnapshotSkipsQuarantined: a peer-replicated entry no
-// local request has verified stays out of the durable store, compaction
-// snapshots included, so a restart cannot restore it as verified. Once
-// confirmed it is persisted like any other entry.
-func TestCompCacheSnapshotSkipsQuarantined(t *testing.T) {
+// TestEvictionRemovesEntryFile: an eviction removes the evicted entry's
+// file, so the directory holds exactly the resident set.
+func TestEvictionRemovesEntryFile(t *testing.T) {
+	dir := t.TempDir()
+	st, recovered := openTestStore(t, dir)
+	c := newCompCache(2)
+	c.attachStore(st, recovered, quietLogger())
+	a, b, d := digestKey("a"), digestKey("b"), digestKey("c")
+	c.put(a, makeComp(t, 1))
+	c.put(b, makeComp(t, 2))
+	c.put(d, makeComp(t, 3))
+	if got, want := entryFiles(t, dir), slices.Sorted(slices.Values([]string{b, d})); !slices.Equal(got, want) {
+		t.Fatalf("entry files %v, want exactly b and c", got)
+	}
+}
+
+// TestCompCacheDiskSkipsQuarantined: a peer-replicated entry no local
+// request has verified stays off disk, so a restart cannot restore it as
+// verified. Once confirmed it is persisted like any other entry.
+func TestCompCacheDiskSkipsQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	st, recovered := openTestStore(t, dir)
 	c := newCompCache(4)
 	c.attachStore(st, recovered, quietLogger())
-	c.put("local", makeComp(t, 1))
-	c.putReplicated("replica", makeComp(t, 2))
-	c.putReplicated("confirmed", makeComp(t, 3))
-	c.confirm("confirmed")
-	if err := c.compactNow(); err != nil {
-		t.Fatal(err)
-	}
+	local, replica, confirmed := digestKey("local"), digestKey("replica"), digestKey("confirmed")
+	c.put(local, makeComp(t, 1))
+	c.putReplicated(replica, makeComp(t, 2))
+	proven := makeComp(t, 3)
+	c.putReplicated(confirmed, proven)
+	c.confirm(confirmed, proven)
 	c.close()
 
 	_, entries := openTestStore(t, dir)
-	if got := entryKeys(entries); !slices.Equal(got, []string{"local", "confirmed"}) {
-		t.Fatalf("snapshot holds %v, want [local confirmed]", got)
+	if got := entryKeys(entries); !slices.Equal(got, []string{local, confirmed}) {
+		t.Fatalf("disk holds %v, want [local confirmed]", got)
 	}
 }
 
 // TestCompCacheStressRace hammers a persistent cache from many goroutines
-// — put, get, stats and explicit compactions racing — then reopens the
-// store and checks every surviving record still verifies. Run under
-// -race this is the load-bearing ordering check on the LRU + store pair.
+// — put, replicated put, confirm, get and stats racing over a working
+// set three times the capacity — then checks that the entry files are
+// exactly the resident verified keys and that a reopen skips nothing.
+// Run under -race this is the load-bearing ordering check on the LRU +
+// store pair.
 func TestCompCacheStressRace(t *testing.T) {
 	dir := t.TempDir()
 	st, recovered := openTestStore(t, dir)
-	st.compactMinBytes = 1 // compact eagerly to maximize interleaving
-	st.compactRatio = 1
 
 	// Prebuild the working set: compression is too slow for the hot loop.
 	const distinct = 24
 	pool := make([]compEntrySeed, distinct)
 	for i := range pool {
 		pool[i] = compEntrySeed{
-			key:  fmt.Sprintf("stress-%02d", i),
+			key:  digestKey(fmt.Sprintf("stress-%02d", i)),
 			comp: makeComp(t, uint32(i+1)),
 		}
 	}
@@ -187,10 +208,16 @@ func TestCompCacheStressRace(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < 200; i++ {
 				e := pool[rng.Intn(distinct)]
-				switch i % 3 {
+				switch i % 5 {
 				case 0:
 					c.put(e.key, e.comp)
 				case 1:
+					c.putReplicated(e.key, e.comp)
+				case 2:
+					if comp, verified, ok := c.getEntry(e.key); ok && !verified {
+						c.confirm(e.key, comp)
+					}
+				case 3:
 					c.get(e.key)
 				default:
 					c.stats()
@@ -198,34 +225,37 @@ func TestCompCacheStressRace(t *testing.T) {
 			}
 		}(g)
 	}
-	// Compactions racing with puts and gets.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 20; i++ {
-			if err := c.compactNow(); err != nil {
-				t.Errorf("compact under load: %v", err)
-				return
-			}
-		}
-	}()
 	wg.Wait()
 
 	if s := c.stats(); s.Entries > 8 {
 		t.Errorf("cache exceeded capacity under load: %d entries", s.Entries)
 	}
+	var verified []string
+	c.mu.Lock()
+	for k, e := range c.entries {
+		if e.verified {
+			verified = append(verified, k)
+		}
+	}
+	c.mu.Unlock()
+	slices.Sort(verified)
 	c.close()
 
-	// Everything on disk must still parse and verify.
+	if got := entryFiles(t, dir); !slices.Equal(got, verified) {
+		t.Fatalf("entry files %v, want the resident verified keys %v", got, verified)
+	}
 	st2, entries := openTestStore(t, dir)
-	if len(entries) == 0 {
-		t.Fatal("no entries survived the stress run")
+	if len(entries) != len(verified) {
+		t.Errorf("reopen restored %d entries, want %d", len(entries), len(verified))
 	}
-	if len(entries) > 8 {
-		t.Errorf("final snapshot holds %d entries, cap is 8", len(entries))
+	if ss := st2.statsSnapshot(); ss.RecordsSkipped != 0 {
+		t.Errorf("clean shutdown left damaged entry files: %+v", ss)
 	}
-	if ss := st2.statsSnapshot(); ss.RecordsSkipped != 0 || ss.TailTruncations != 0 {
-		t.Errorf("clean shutdown left corruption: %+v", ss)
+	for _, e := range entries {
+		i := slices.IndexFunc(pool, func(p compEntrySeed) bool { return p.key == e.key })
+		if !bytes.Equal(e.payload, pool[i].comp.Marshal()) {
+			t.Errorf("entry %s holds the wrong payload", e.key)
+		}
 	}
 }
 

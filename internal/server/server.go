@@ -11,10 +11,10 @@
 //   - A content-addressed LRU cache (SHA-256 of the marshalled image ->
 //     compressed form): the expensive dictionary build runs once per
 //     distinct program, repeats are served from memory. With CacheDir
-//     set the cache is durable: entries append to a CRC-framed log,
-//     compacted snapshots are cut in the background, and a restart
-//     replays both (tolerating torn tails and corrupt records) so a
-//     warm cache survives deploys. See docs/SERVER.md "Persistence".
+//     set the cache is durable: each verified entry is a file named by
+//     its digest, an eviction removes it, and a restart reads them back
+//     (removing torn or corrupt files) so a warm cache survives
+//     deploys. See docs/SERVER.md "Persistence".
 //
 //   - Observability: GET /metrics (Prometheus text format) and
 //     GET /debug/vars (expvar-style JSON) publish request counts by
@@ -85,8 +85,8 @@ type Config struct {
 	CacheEntries int
 
 	// CacheDir, when non-empty, persists the compression cache there
-	// (an append-only log plus compacted snapshots) and reloads it on
-	// startup. Ignored when caching is disabled.
+	// (one file per verified entry, named by its digest) and reloads it
+	// on startup. Ignored when caching is disabled.
 	CacheDir string
 
 	// MaxInstr caps the committed-instruction budget a simulate request
@@ -215,10 +215,9 @@ type Server struct {
 }
 
 // New builds a Server and starts its worker pools. With Config.CacheDir
-// set it also restores the persisted compression cache (tolerating any
-// corruption it finds there) and starts the background compactor; the
-// only error paths are filesystem ones — opening the cache directory or
-// its log for writing.
+// set it also restores the persisted compression cache, tolerating any
+// corruption it finds there; the only error paths are filesystem ones —
+// creating or listing the cache directory.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	cache := newCompCache(cfg.CacheEntries)
@@ -228,13 +227,10 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: open cache store: %w", err)
 		}
 		restored := cache.attachStore(st, recovered, cfg.Logger)
-		ss := st.statsSnapshot()
 		cfg.Logger.Info("compression cache restored",
 			"dir", cfg.CacheDir,
 			"entries_restored", restored,
-			"bytes_replayed", ss.BytesReplayed,
-			"records_skipped", ss.RecordsSkipped,
-			"tail_truncations", ss.TailTruncations,
+			"records_skipped", st.statsSnapshot().RecordsSkipped,
 		)
 	}
 	s := &Server{
@@ -437,9 +433,10 @@ func (ps peerSource) Missing(digests []string) []string {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Close drains the worker pools — admitted jobs finish, new submissions
-// fail with 503 — then flushes the persistent cache (final compacted
-// snapshot + fsync) if one is configured. Call after http.Server.Shutdown
-// so in-flight HTTP requests complete their pooled work first.
+// fail with 503 — then flushes the persistent cache (an fsync of every
+// entry file and of the directory) if one is configured. Call after
+// http.Server.Shutdown so in-flight HTTP requests complete their pooled
+// work first.
 func (s *Server) Close() {
 	if s.cluster != nil {
 		// Graceful departure first, while the peer endpoints still
@@ -984,12 +981,12 @@ func (s *Server) cachedVerified(digest string, im *codepack.Image, isRecheck boo
 		return comp, true
 	}
 	if compMatchesImage(comp, im) {
-		s.cache.confirm(digest)
+		s.cache.confirm(digest, comp)
 		return comp, true
 	}
 	s.metrics.peerErrors.add(1)
 	s.log.Warn("quarantined replica failed verification, dropping", "digest", digest)
-	s.cache.drop(digest)
+	s.cache.drop(digest, comp)
 	return nil, false
 }
 

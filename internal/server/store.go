@@ -1,61 +1,46 @@
 package server
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
+	"io/fs"
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
+
+	"codepack/internal/peer"
 )
 
 // diskStore persists the content-addressed compression cache across
-// restarts. The layout under the cache directory is:
+// restarts as one file per verified entry, named by the entry's key (the
+// hex SHA-256 of the program image) and holding
 //
-//	cache.snap  — a compacted snapshot: one record per live entry,
-//	              written to a temp file, fsynced and atomically renamed
-//	              into place, so it is always either the old or the new
-//	              complete snapshot, never a partial one.
-//	cache.log   — an append-only log of entries inserted since the last
-//	              snapshot. Appends are buffered by the OS (a cache does
-//	              not need fsync-per-put); the log is synced when a
-//	              snapshot is cut and on graceful close.
+//	[8]   magic     "CPKENT01"
+//	[8]   seq       write sequence, little endian
+//	[32]  sum       SHA-256 of the payload
+//	[...] payload   the marshalled compressed program
 //
-// Both files share one record format:
-//
-//	[4] crc32    IEEE CRC32 of the body (everything after bodyLen)
-//	[4] bodyLen  length of the body in bytes, little endian
-//	[2]   keyLen   cache-key length
-//	[32]  sum      SHA-256 of the payload
-//	[...] key      the cache key (hex SHA-256 of the program image)
-//	[...] payload  the marshalled compressed program
-//
-// preceded by an 8-byte file magic. Recovery is tolerant by
-// construction: a torn or CRC-corrupt frame ends replay and the log is
-// truncated back to the last good record (the snapshot is read-only and
-// just stops); a frame whose CRC holds but whose payload fails its
-// SHA-256 or does not parse is skipped individually. A bad record can
-// therefore cost cached work, never the process, and a recovered entry
-// is never returned unless its payload re-verifies against the record's
-// SHA-256.
+// An entry's bytes never change, so there is nothing to compact: a file
+// is written once to its final name when its entry becomes verified and
+// removed when the entry is evicted. A crash mid-write leaves a file
+// whose sum does not match, which the next boot removes, so no temp
+// file or rename is needed. Files whose names are not keys are never
+// read, written or removed.
 type diskStore struct {
 	dir string
 	log *slog.Logger
 
-	// Compaction policy: cut a snapshot when the log exceeds both
-	// compactMinBytes and compactRatio times the last snapshot's size.
-	compactMinBytes int64
-	compactRatio    float64
-
-	mu        sync.Mutex
-	logFile   *os.File
-	logBytes  int64
-	snapBytes int64
-	closed    bool
+	// mu serializes writes and removals. compCache.persist holds it
+	// while it re-checks the entry under the cache lock, so the file
+	// ends up matching the cache's last word on the key.
+	mu     sync.Mutex
+	seq    uint64 // sequence of the next write
+	closed bool
 
 	stats storeStats
 }
@@ -63,46 +48,28 @@ type diskStore struct {
 // storeStats counts persistence activity; read it via (*diskStore).statsSnapshot.
 type storeStats struct {
 	RestoredEntries uint64 `json:"restored_entries"`
-	BytesReplayed   uint64 `json:"bytes_replayed"`
 	RecordsSkipped  uint64 `json:"records_skipped"`
-	TailTruncations uint64 `json:"tail_truncations"`
 	Appends         uint64 `json:"appends"`
 	AppendErrors    uint64 `json:"append_errors"`
-	Compactions     uint64 `json:"compactions"`
-	LogBytes        int64  `json:"log_bytes"`
-	SnapshotBytes   int64  `json:"snapshot_bytes"`
 }
 
-// storedEntry is one cache entry read from or written to the store. On
-// recovery the payload has already been verified against sum (the
-// record's SHA-256); entries handed to compact leave sum unset, since
-// encodeRecord hashes the payload itself.
+// storedEntry is one intact entry file read at boot.
 type storedEntry struct {
 	key     string
 	payload []byte
-	sum     [sha256.Size]byte
+	seq     uint64
 }
 
 const (
-	storeMagic   = "CPKCACH1"
-	logFileName  = "cache.log"
-	snapFileName = "cache.snap"
-
-	// recordOverhead is the fixed cost of a record: crc + bodyLen +
-	// keyLen + sum.
-	recordHeader   = 8
-	recordFixed    = 2 + sha256.Size
-	maxRecordKey   = 256
-	maxRecordBytes = 64 << 20 // sanity cap on bodyLen before allocating
-
-	defaultCompactMinBytes = 1 << 20
-	defaultCompactRatio    = 4.0
+	entryMagic  = "CPKENT01"
+	entryHeader = len(entryMagic) + 8 + sha256.Size
 )
 
-// openStore opens (creating if needed) the persistence directory, replays
-// the snapshot and log, truncates any torn log tail, and returns the store
-// ready for appends plus the recovered entries in replay order (oldest
-// first; a key's last record wins).
+var errStoreClosed = errors.New("store: closed")
+
+// openStore opens (creating if needed) the cache directory and returns
+// the store plus every intact entry, oldest write first. Damaged entry
+// files are removed and counted; only directory errors fail the open.
 func openStore(dir string, logger *slog.Logger) (*diskStore, []storedEntry, error) {
 	if logger == nil {
 		logger = slog.Default()
@@ -110,247 +77,102 @@ func openStore(dir string, logger *slog.Logger) (*diskStore, []storedEntry, erro
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("cache dir: %w", err)
 	}
-	st := &diskStore{
-		dir:             dir,
-		log:             logger,
-		compactMinBytes: defaultCompactMinBytes,
-		compactRatio:    defaultCompactRatio,
+	names, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, nil, fmt.Errorf("cache dir: %w", err)
 	}
-
+	st := &diskStore{dir: dir, log: logger}
 	var entries []storedEntry
-	seen := make(map[string]int) // key -> index in entries
-
-	merge := func(e storedEntry) {
-		if i, ok := seen[e.key]; ok {
-			// Later record wins and counts as a fresh touch: drop the
-			// old slot so replay order stays LRU order.
-			entries = append(entries[:i], entries[i+1:]...)
-			for k, j := range seen {
-				if j > i {
-					seen[k] = j - 1
-				}
-			}
+	for _, de := range names {
+		key := de.Name()
+		if !peer.ValidDigest(key) || !de.Type().IsRegular() {
+			continue
 		}
-		seen[e.key] = len(entries)
-		entries = append(entries, e)
-	}
-
-	// Snapshot first: it is the older state the log layers on top of.
-	snapPath := filepath.Join(dir, snapFileName)
-	if raw, err := os.ReadFile(snapPath); err == nil {
-		st.snapBytes = int64(len(raw))
-		st.replay(raw, snapFileName, merge)
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, nil, fmt.Errorf("read snapshot: %w", err)
-	}
-
-	logPath := filepath.Join(dir, logFileName)
-	f, err := os.OpenFile(logPath, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("open log: %w", err)
-	}
-	raw, err := io.ReadAll(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("read log: %w", err)
-	}
-	good := st.replay(raw, logFileName, merge)
-	if good < int64(len(raw)) {
-		// Torn or corrupt tail: drop it so the next append starts a
-		// clean frame at a known-good offset.
-		st.stats.TailTruncations++
-		st.log.Warn("cache log tail truncated",
-			"file", logPath, "good_bytes", good, "dropped", int64(len(raw))-good)
-		if err := f.Truncate(good); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("truncate log tail: %w", err)
+		raw, err := os.ReadFile(st.path(key))
+		seq, payload, ok := decodeEntry(raw)
+		if err != nil || !ok {
+			st.discard(key, "damaged or unreadable")
+			continue
 		}
+		entries = append(entries, storedEntry{key: key, payload: payload, seq: seq})
+		st.seq = max(st.seq, seq+1)
 	}
-	if good == 0 {
-		// New or fully-corrupt log: start from a fresh magic header.
-		if err := f.Truncate(0); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("reset log: %w", err)
-		}
-		if _, err := f.WriteAt([]byte(storeMagic), 0); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("write log header: %w", err)
-		}
-		good = int64(len(storeMagic))
-	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("seek log: %w", err)
-	}
-	st.logFile = f
-	st.logBytes = good
-	st.stats.RestoredEntries = uint64(len(entries))
+	slices.SortFunc(entries, func(a, b storedEntry) int { return cmp.Compare(a.seq, b.seq) })
 	return st, entries, nil
 }
 
-// replay decodes records from raw, calling merge for each verified entry,
-// and returns the byte offset of the end of the last structurally good
-// frame (0 if the magic is missing). Semantically bad records inside good
-// frames are skipped; a framing failure stops replay.
-func (st *diskStore) replay(raw []byte, name string, merge func(storedEntry)) int64 {
-	if len(raw) < len(storeMagic) || string(raw[:len(storeMagic)]) != storeMagic {
-		if len(raw) > 0 {
-			st.log.Warn("cache file has bad magic, ignoring", "file", name)
-		}
-		return 0
-	}
-	off := int64(len(storeMagic))
-	for {
-		rest := raw[off:]
-		if len(rest) == 0 {
-			return off // clean end
-		}
-		if len(rest) < recordHeader {
-			return off // torn header
-		}
-		crc := binary.LittleEndian.Uint32(rest)
-		bodyLen := int64(binary.LittleEndian.Uint32(rest[4:]))
-		if bodyLen < recordFixed || bodyLen > maxRecordBytes {
-			return off // corrupt length field
-		}
-		if int64(len(rest)) < recordHeader+bodyLen {
-			return off // torn body
-		}
-		body := rest[recordHeader : recordHeader+bodyLen]
-		if crc32.ChecksumIEEE(body) != crc {
-			return off // corrupt frame
-		}
-		off += recordHeader + bodyLen
-		st.stats.BytesReplayed += uint64(recordHeader + bodyLen)
-
-		keyLen := int64(binary.LittleEndian.Uint16(body))
-		if keyLen == 0 || keyLen > maxRecordKey || recordFixed+keyLen > bodyLen {
-			st.stats.RecordsSkipped++
-			continue
-		}
-		var e storedEntry
-		copy(e.sum[:], body[2:2+sha256.Size])
-		e.key = string(body[recordFixed : recordFixed+keyLen])
-		e.payload = append([]byte(nil), body[recordFixed+keyLen:]...)
-		if sha256.Sum256(e.payload) != e.sum {
-			st.stats.RecordsSkipped++
-			st.log.Warn("cache record payload failed verification, skipping",
-				"file", name, "key", e.key)
-			continue
-		}
-		merge(e)
-	}
-}
-
-// encodeRecord frames one entry.
-func encodeRecord(key string, payload []byte) []byte {
-	bodyLen := recordFixed + len(key) + len(payload)
-	b := make([]byte, recordHeader+bodyLen)
-	binary.LittleEndian.PutUint32(b[4:], uint32(bodyLen))
-	body := b[recordHeader:]
-	binary.LittleEndian.PutUint16(body, uint16(len(key)))
+func encodeEntry(seq uint64, payload []byte) []byte {
+	b := make([]byte, entryHeader+len(payload))
+	copy(b, entryMagic)
+	binary.LittleEndian.PutUint64(b[len(entryMagic):], seq)
 	sum := sha256.Sum256(payload)
-	copy(body[2:], sum[:])
-	copy(body[recordFixed:], key)
-	copy(body[recordFixed+len(key):], payload)
-	binary.LittleEndian.PutUint32(b, crc32.ChecksumIEEE(body))
+	copy(b[len(entryMagic)+8:], sum[:])
+	copy(b[entryHeader:], payload)
 	return b
 }
 
-// append logs one entry. Errors are recorded and reported but the cache
-// keeps serving from memory: persistence is best-effort by design.
-func (st *diskStore) append(key string, payload []byte) error {
-	if len(key) == 0 || len(key) > maxRecordKey {
-		return fmt.Errorf("store: bad key length %d", len(key))
+// decodeEntry accepts raw only when its header is intact and its payload
+// matches the recorded SHA-256. The payload aliases raw.
+func decodeEntry(raw []byte) (seq uint64, payload []byte, ok bool) {
+	if len(raw) < entryHeader || string(raw[:len(entryMagic)]) != entryMagic {
+		return 0, nil, false
 	}
-	rec := encodeRecord(key, payload)
-	st.mu.Lock()
-	defer st.mu.Unlock()
+	payload = raw[entryHeader:]
+	if sha256.Sum256(payload) != [sha256.Size]byte(raw[len(entryMagic)+8:entryHeader]) {
+		return 0, nil, false
+	}
+	return binary.LittleEndian.Uint64(raw[len(entryMagic):]), payload, true
+}
+
+func (st *diskStore) path(key string) string { return filepath.Join(st.dir, key) }
+
+// write stores payload as key's entry file under the next sequence
+// number. Callers hold st.mu. Errors are counted; the cache keeps
+// serving from memory either way.
+func (st *diskStore) write(key string, payload []byte) error {
 	if st.closed {
-		return errors.New("store: closed")
+		return errStoreClosed
 	}
-	n, err := st.logFile.Write(rec)
-	st.logBytes += int64(n)
+	if !peer.ValidDigest(key) {
+		return fmt.Errorf("store: key %q is not a digest", key)
+	}
 	st.stats.Appends++
-	if err != nil {
+	if err := os.WriteFile(st.path(key), encodeEntry(st.seq, payload), 0o644); err != nil {
 		st.stats.AppendErrors++
-		return fmt.Errorf("store: append: %w", err)
+		return fmt.Errorf("store: write: %w", err)
 	}
+	st.seq++
 	return nil
 }
 
-// needCompact reports whether the log has outgrown the snapshot enough to
-// justify cutting a new one.
-func (st *diskStore) needCompact() bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.closed || st.logBytes < st.compactMinBytes {
-		return false
-	}
-	return float64(st.logBytes) >= st.compactRatio*float64(max(st.snapBytes, 1))
-}
-
-// compact atomically replaces the snapshot with the entries returned by
-// collect and resets the log. collect runs under the store lock so no
-// append can slip between the collection and the log reset; callers must
-// not hold the cache lock when calling compact (collect may take it).
-func (st *diskStore) compact(collect func() []storedEntry) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
+// remove deletes key's entry file if there is one. Callers hold st.mu.
+func (st *diskStore) remove(key string) error {
 	if st.closed {
-		return errors.New("store: closed")
+		return errStoreClosed
 	}
-	entries := collect()
-
-	tmpPath := filepath.Join(st.dir, snapFileName+".tmp")
-	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: snapshot temp: %w", err)
+	if !peer.ValidDigest(key) {
+		return nil // never written
 	}
-	written := int64(0)
-	writeAll := func(b []byte) error {
-		n, err := tmp.Write(b)
-		written += int64(n)
-		return err
+	if err := os.Remove(st.path(key)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		st.stats.AppendErrors++
+		return fmt.Errorf("store: remove: %w", err)
 	}
-	err = writeAll([]byte(storeMagic))
-	for _, e := range entries {
-		if err != nil {
-			break
-		}
-		err = writeAll(encodeRecord(e.key, e.payload))
-	}
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmpPath)
-		return fmt.Errorf("store: write snapshot: %w", err)
-	}
-	if err := os.Rename(tmpPath, filepath.Join(st.dir, snapFileName)); err != nil {
-		os.Remove(tmpPath)
-		return fmt.Errorf("store: install snapshot: %w", err)
-	}
-	syncDir(st.dir)
-
-	// The snapshot now covers everything; restart the log.
-	if err := st.logFile.Truncate(int64(len(storeMagic))); err != nil {
-		return fmt.Errorf("store: reset log: %w", err)
-	}
-	if _, err := st.logFile.Seek(int64(len(storeMagic)), io.SeekStart); err != nil {
-		return fmt.Errorf("store: seek log: %w", err)
-	}
-	st.logBytes = int64(len(storeMagic))
-	st.snapBytes = written
-	st.stats.Compactions++
 	return nil
 }
 
-// close syncs and closes the log. Call compact first to flush the final
-// snapshot; close itself only makes the already-appended log durable.
+// discard removes an entry file that cannot be restored and counts it.
+func (st *diskStore) discard(key, why string) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.stats.RecordsSkipped++
+	st.log.Warn("cache entry file removed", "key", key, "reason", why)
+	if err := st.remove(key); err != nil {
+		st.log.Warn("cache entry removal failed", "key", key, "err", err)
+	}
+}
+
+// close makes every entry file durable — each file, then the directory
+// that names them — and stops further writes (the SIGTERM flush).
 func (st *diskStore) close() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -358,9 +180,19 @@ func (st *diskStore) close() error {
 		return nil
 	}
 	st.closed = true
-	err := st.logFile.Sync()
-	if cerr := st.logFile.Close(); err == nil {
-		err = cerr
+	names, err := os.ReadDir(st.dir)
+	if err != nil {
+		return fmt.Errorf("store: close: %w", err)
+	}
+	for _, de := range names {
+		if peer.ValidDigest(de.Name()) && de.Type().IsRegular() {
+			if serr := syncPath(st.path(de.Name())); err == nil {
+				err = serr
+			}
+		}
+	}
+	if serr := syncPath(st.dir); err == nil {
+		err = serr
 	}
 	return err
 }
@@ -368,19 +200,18 @@ func (st *diskStore) close() error {
 func (st *diskStore) statsSnapshot() storeStats {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	s := st.stats
-	s.LogBytes = st.logBytes
-	s.SnapshotBytes = st.snapBytes
-	return s
+	return st.stats
 }
 
-// syncDir fsyncs a directory so a rename within it is durable;
-// best-effort because not every platform supports it.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
+// syncPath fsyncs a file or directory.
+func syncPath(path string) error {
+	f, err := os.Open(path)
 	if err != nil {
-		return
+		return err
 	}
-	d.Sync()
-	d.Close()
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

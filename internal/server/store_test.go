@@ -3,11 +3,13 @@ package server
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
-	"hash/crc32"
+	"encoding/hex"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"codepack/internal/peer"
 )
 
 // openTestStore opens a store in dir and registers cleanup.
@@ -29,284 +31,143 @@ func entryKeys(entries []storedEntry) []string {
 	return keys
 }
 
+// digestKey derives a cache key (64 lowercase hex characters) from a
+// readable name.
+func digestKey(name string) string {
+	sum := sha256.Sum256([]byte(name))
+	return hex.EncodeToString(sum[:])
+}
+
+// storeWrite writes one entry file the way compCache.persist does, under
+// the store lock.
+func storeWrite(t *testing.T, st *diskStore, key string, payload []byte) {
+	t.Helper()
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if err := st.write(key, payload); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// entryFiles lists the entry file names in dir.
+func entryFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, de := range des {
+		if peer.ValidDigest(de.Name()) {
+			out = append(out, de.Name())
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
 func TestStoreAppendReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	st, entries := openTestStore(t, dir)
 	if len(entries) != 0 {
 		t.Fatalf("fresh store restored %d entries", len(entries))
 	}
+	k1, k2, k3 := digestKey("k1"), digestKey("k2"), digestKey("k3")
 	payloads := map[string][]byte{
-		"k1": []byte("payload one"),
-		"k2": bytes.Repeat([]byte{0xAB}, 1024),
-		"k3": {}, // empty payloads are legal
+		k1: []byte("payload one"),
+		k2: bytes.Repeat([]byte{0xAB}, 1024),
+		k3: {}, // empty payloads are legal
 	}
-	for _, k := range []string{"k1", "k2", "k3"} {
-		if err := st.append(k, payloads[k]); err != nil {
-			t.Fatal(err)
-		}
+	for _, k := range []string{k1, k2, k3} {
+		storeWrite(t, st, k, payloads[k])
 	}
-	// Re-append k1: the later record must win and refresh replay order.
-	if err := st.append("k1", payloads["k1"]); err != nil {
-		t.Fatal(err)
-	}
+	// Re-write k1: it takes a newer sequence number and restores last.
+	storeWrite(t, st, k1, payloads[k1])
 	if err := st.close(); err != nil {
 		t.Fatal(err)
 	}
 
 	st2, entries2 := openTestStore(t, dir)
-	got := entryKeys(entries2)
-	want := []string{"k2", "k3", "k1"}
-	if len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
-		t.Fatalf("replay order %v, want %v", got, want)
+	if got, want := entryKeys(entries2), []string{k2, k3, k1}; !slices.Equal(got, want) {
+		t.Fatalf("restore order %v, want %v", got, want)
 	}
 	for _, e := range entries2 {
 		if !bytes.Equal(e.payload, payloads[e.key]) {
 			t.Errorf("%s payload corrupted", e.key)
 		}
-		if sha256.Sum256(e.payload) != e.sum {
-			t.Errorf("%s sum does not verify", e.key)
-		}
 	}
-	ss := st2.statsSnapshot()
-	if ss.RestoredEntries != 3 || ss.RecordsSkipped != 0 || ss.TailTruncations != 0 {
-		t.Errorf("stats %+v, want 3 restored, nothing skipped", ss)
+	if ss := st2.statsSnapshot(); ss.RecordsSkipped != 0 {
+		t.Errorf("stats %+v, want nothing skipped", ss)
 	}
-	if ss.BytesReplayed == 0 {
-		t.Error("bytes replayed not counted")
+	if st2.seq != entries2[2].seq+1 {
+		t.Errorf("next sequence %d, want one past the newest restored (%d)", st2.seq, entries2[2].seq)
 	}
 }
 
-// TestStoreTornTailTruncated simulates a SIGKILL mid-append: a partial
-// record at the log tail must be dropped and physically truncated so the
-// next append starts a clean frame.
-func TestStoreTornTailTruncated(t *testing.T) {
-	dir := t.TempDir()
-	st, _ := openTestStore(t, dir)
-	if err := st.append("good1", []byte("one")); err != nil {
-		t.Fatal(err)
+// TestStoreDamagedEntryFiles covers the crash and corruption shapes a
+// boot must survive; checkDamagedEntry says what each must leave behind.
+func TestStoreDamagedEntryFiles(t *testing.T) {
+	cases := []struct {
+		name   string
+		damage func(raw []byte) []byte
+	}{
+		{"cut mid-header", func(raw []byte) []byte { return raw[:entryHeader/2] }},
+		{"cut mid-payload", func(raw []byte) []byte { return raw[:entryHeader+(len(raw)-entryHeader)/2] }},
+		{"flipped payload bit", func(raw []byte) []byte { raw[entryHeader+3] ^= 0x10; return raw }},
+		{"wrong magic", func(raw []byte) []byte { raw[0] ^= 0xFF; return raw }},
 	}
-	if err := st.append("good2", []byte("two")); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.close(); err != nil {
-		t.Fatal(err)
-	}
-
-	logPath := filepath.Join(dir, logFileName)
-	full := encodeRecord("torn", bytes.Repeat([]byte{7}, 400))
-	f, err := os.OpenFile(logPath, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(full[:len(full)/2]); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	sizeBefore := fileSize(t, logPath)
-
-	st2, entries := openTestStore(t, dir)
-	if got := entryKeys(entries); len(got) != 2 || got[0] != "good1" || got[1] != "good2" {
-		t.Fatalf("recovered %v, want [good1 good2]", got)
-	}
-	ss := st2.statsSnapshot()
-	if ss.TailTruncations != 1 {
-		t.Errorf("tail truncations = %d, want 1", ss.TailTruncations)
-	}
-	if after := fileSize(t, logPath); after >= sizeBefore {
-		t.Errorf("log not truncated: %d -> %d bytes", sizeBefore, after)
-	}
-
-	// The store must be appendable at the truncated offset and the new
-	// record must survive another reopen.
-	if err := st2.append("good3", []byte("three")); err != nil {
-		t.Fatal(err)
-	}
-	if err := st2.close(); err != nil {
-		t.Fatal(err)
-	}
-	_, entries3 := openTestStore(t, dir)
-	if got := entryKeys(entries3); len(got) != 3 || got[2] != "good3" {
-		t.Fatalf("after torn-tail recovery + append, recovered %v", got)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) { checkDamagedEntry(t, tc.damage) })
 	}
 }
 
-// TestStoreCorruptFrameDropsTail: a bit flip inside a record body breaks
-// its CRC; that record and everything after it are dropped, earlier
-// records survive.
-func TestStoreCorruptFrameDropsTail(t *testing.T) {
-	dir := t.TempDir()
-	st, _ := openTestStore(t, dir)
-	for _, k := range []string{"a", "b", "c"} {
-		if err := st.append(k, bytes.Repeat([]byte(k), 64)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	recLen := int64(len(encodeRecord("a", bytes.Repeat([]byte("a"), 64))))
-	if err := st.close(); err != nil {
-		t.Fatal(err)
-	}
-
-	logPath := filepath.Join(dir, logFileName)
-	raw, err := os.ReadFile(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flip a payload byte in the middle record ("b").
-	raw[int64(len(storeMagic))+recLen+recordHeader+recordFixed+3] ^= 0xFF
-	if err := os.WriteFile(logPath, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	st2, entries := openTestStore(t, dir)
-	if got := entryKeys(entries); len(got) != 1 || got[0] != "a" {
-		t.Fatalf("recovered %v, want [a]", got)
-	}
-	if ss := st2.statsSnapshot(); ss.TailTruncations != 1 {
-		t.Errorf("stats %+v, want one tail truncation", ss)
-	}
-}
-
-// TestStoreBadSumSkipsRecord: a record whose CRC holds but whose payload
-// fails its SHA-256 (a deliberately consistent corruption) is skipped
-// individually; later records still load.
+// TestStoreBadSumSkipsRecord damages the recorded SHA-256 rather than the
+// payload: the intact payload must not be trusted against a wrong sum.
 func TestStoreBadSumSkipsRecord(t *testing.T) {
+	checkDamagedEntry(t, func(raw []byte) []byte { raw[len(entryMagic)+8+2] ^= 0xFF; return raw })
+}
+
+// checkDamagedEntry writes three entries, applies damage to the middle
+// one's file and reopens the store: the damaged file must be removed and
+// counted while its intact neighbours restore, and a file whose name is
+// not a key (such as a cache.log left by an older release) must be left
+// untouched.
+func checkDamagedEntry(t *testing.T, damage func(raw []byte) []byte) {
+	t.Helper()
 	dir := t.TempDir()
 	st, _ := openTestStore(t, dir)
-	if err := st.append("a", []byte("aaa")); err != nil {
-		t.Fatal(err)
-	}
+	good1, bad, good2 := digestKey("good1"), digestKey("bad"), digestKey("good2")
+	storeWrite(t, st, good1, []byte("one"))
+	storeWrite(t, st, bad, bytes.Repeat([]byte{7}, 400))
+	storeWrite(t, st, good2, []byte("two"))
 	if err := st.close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Hand-build a record with a wrong sum but a valid CRC, then a good one.
-	bad := encodeRecord("evil", []byte("payload"))
-	body := bad[recordHeader:]
-	body[2] ^= 0xFF // corrupt the stored sum
-	binary.LittleEndian.PutUint32(bad, crc32.ChecksumIEEE(body))
-	good := encodeRecord("z", []byte("zzz"))
-	logPath := filepath.Join(dir, logFileName)
-	f, err := os.OpenFile(logPath, os.O_APPEND|os.O_WRONLY, 0o644)
+	badPath := filepath.Join(dir, bad)
+	raw, err := os.ReadFile(badPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Write(bad)
-	f.Write(good)
-	f.Close()
+	if err := os.WriteFile(badPath, damage(raw), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	legacy := []byte("CPKCACH1 a log from an older release")
+	legacyPath := filepath.Join(dir, "cache.log")
+	if err := os.WriteFile(legacyPath, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	st2, entries := openTestStore(t, dir)
-	if got := entryKeys(entries); len(got) != 2 || got[0] != "a" || got[1] != "z" {
-		t.Fatalf("recovered %v, want [a z]", got)
+	if got := entryKeys(entries); !slices.Equal(got, []string{good1, good2}) {
+		t.Fatalf("restored %v, want [good1 good2]", got)
 	}
 	if ss := st2.statsSnapshot(); ss.RecordsSkipped != 1 {
 		t.Errorf("records skipped = %d, want 1", ss.RecordsSkipped)
 	}
-}
-
-func TestStoreCompactReplacesSnapshotAndResetsLog(t *testing.T) {
-	dir := t.TempDir()
-	st, _ := openTestStore(t, dir)
-	for _, k := range []string{"a", "b", "c", "d"} {
-		if err := st.append(k, bytes.Repeat([]byte(k), 256)); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := os.Stat(badPath); !os.IsNotExist(err) {
+		t.Errorf("damaged entry file not removed: %v", err)
 	}
-	// Compact down to two survivors, as after LRU eviction.
-	live := []storedEntry{
-		mkEntry("c", bytes.Repeat([]byte("c"), 256)),
-		mkEntry("d", bytes.Repeat([]byte("d"), 256)),
+	if got, err := os.ReadFile(legacyPath); err != nil || !bytes.Equal(got, legacy) {
+		t.Errorf("non-entry file changed: %q, %v", got, err)
 	}
-	if err := st.compact(func() []storedEntry { return live }); err != nil {
-		t.Fatal(err)
-	}
-	if got := fileSize(t, filepath.Join(dir, logFileName)); got != int64(len(storeMagic)) {
-		t.Errorf("log size after compact = %d, want %d (header only)", got, len(storeMagic))
-	}
-	if _, err := os.Stat(filepath.Join(dir, snapFileName+".tmp")); !os.IsNotExist(err) {
-		t.Error("snapshot temp file left behind")
-	}
-	// Appends after compaction land in the fresh log.
-	if err := st.append("e", []byte("eee")); err != nil {
-		t.Fatal(err)
-	}
-	ss := st.statsSnapshot()
-	if ss.Compactions != 1 || ss.SnapshotBytes == 0 {
-		t.Errorf("stats %+v, want one compaction with a non-empty snapshot", ss)
-	}
-	if err := st.close(); err != nil {
-		t.Fatal(err)
-	}
-
-	_, entries := openTestStore(t, dir)
-	if got := entryKeys(entries); len(got) != 3 || got[0] != "c" || got[1] != "d" || got[2] != "e" {
-		t.Fatalf("recovered %v, want [c d e]", got)
-	}
-}
-
-func TestStoreNeedCompactPolicy(t *testing.T) {
-	dir := t.TempDir()
-	st, _ := openTestStore(t, dir)
-	st.compactMinBytes = 512
-	st.compactRatio = 2
-
-	if st.needCompact() {
-		t.Error("fresh store wants compaction")
-	}
-	if err := st.append("k", bytes.Repeat([]byte{1}, 600)); err != nil {
-		t.Fatal(err)
-	}
-	if !st.needCompact() {
-		t.Error("log above min bytes with no snapshot should compact")
-	}
-	if err := st.compact(func() []storedEntry {
-		return []storedEntry{mkEntry("k", bytes.Repeat([]byte{1}, 600))}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if st.needCompact() {
-		t.Error("just-compacted store wants compaction")
-	}
-	// The log must now exceed ratio * snapshot before compacting again.
-	if err := st.append("k2", bytes.Repeat([]byte{2}, 700)); err != nil {
-		t.Fatal(err)
-	}
-	if st.needCompact() {
-		t.Error("log smaller than ratio*snapshot should not compact")
-	}
-}
-
-// TestStoreBadMagicIgnored: a log from some other program (or a zeroed
-// file) is ignored and rewritten, not trusted.
-func TestStoreBadMagicIgnored(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, logFileName), []byte("not a cache log at all"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st, entries := openTestStore(t, dir)
-	if len(entries) != 0 {
-		t.Fatalf("recovered %d entries from garbage", len(entries))
-	}
-	if err := st.append("k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.close(); err != nil {
-		t.Fatal(err)
-	}
-	_, entries2 := openTestStore(t, dir)
-	if len(entries2) != 1 || entries2[0].key != "k" {
-		t.Fatalf("recovered %v after garbage reset", entryKeys(entries2))
-	}
-}
-
-func mkEntry(key string, payload []byte) storedEntry {
-	return storedEntry{key: key, payload: payload, sum: sha256.Sum256(payload)}
-}
-
-func fileSize(t *testing.T, path string) int64 {
-	t.Helper()
-	fi, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fi.Size()
 }
