@@ -26,17 +26,17 @@ bench:
 bench-smoke:
 	$(GO) test -race -count=1 -run 'TestBenchSmoke|TestFlashcrowdCoalesces|TestChurnClusterWarmFloor' ./cmd/cpackbench
 
-# Record the codec microbenchmarks (ns/op, MB/s, allocs/op for
-# encode/decode and the served path cold and warm; ten samples each) as
-# the regression gate's next baseline: make bench-json BENCH_N=<pr>
-# writes BENCH_<pr>.json. End-to-end numbers come from perfbench
-# (perfbench/README.md).
+# Record the microbenchmarks (ns/op, MB/s, allocs/op for encode/decode,
+# the served path cold and warm, the simulator and the assembler; ten
+# samples each) as the regression gate's next baseline:
+# make bench-json BENCH_N=<pr> writes BENCH_<pr>.json. End-to-end
+# numbers come from perfbench (perfbench/README.md).
 bench-json:
 	@test -n "$(BENCH_N)" || { echo "usage: make bench-json BENCH_N=<pr>"; exit 2; }
 	$(GO) run ./cmd/benchcompare -record BENCH_$(BENCH_N).json
 	@echo wrote BENCH_$(BENCH_N).json
 
-# Guard the codec microbenchmarks against regression: re-run them ten
+# Guard the microbenchmarks against regression: re-run them ten
 # times and fail if a shared benchmark's anchor-normalized samples are
 # slower than the committed trajectory's by a Mann-Whitney U test
 # (p < 0.05) and by more than 20% in the median (see docs/BENCH.md).
@@ -94,9 +94,10 @@ tenant-smoke:
 	$(GO) test -race -count=1 -run 'TestPeerSignedClusterWarmHit|TestTenantAdmissionReloadStress' ./internal/server
 	$(GO) test -race -count=1 -run 'TestSighupReloadsTenants' ./cmd/cpackd
 
-# Observability smoke: a real cpackd process serves pprof and the trace
-# ring on -debug-addr only, and the span/stage instrumentation holds its
-# golden tree, cross-node stitching and histogram labels under -race.
+# Observability smoke: a real cpackd process serves pprof on -debug-addr
+# only (the trace ring on both listeners) and no public route gives away
+# its -cluster-key, and the span/stage instrumentation holds its golden
+# tree, cross-node stitching and histogram labels under -race.
 obs-smoke:
 	$(GO) test -race -count=1 -run 'TestDebugListenerServesDiagnostics' ./cmd/cpackd
 	$(GO) test -race -count=1 -run 'TestCompressMissSpanTree|TestSpanPropagatesAcrossPeerFetch|TestStageHistogramsRendered|TestSlowTraceLogged' ./internal/server

@@ -1,4 +1,4 @@
-// Command benchcompare runs the codec microbenchmarks and guards them
+// Command benchcompare runs the microbenchmarks and guards them
 // against regressions: it compares ten fresh samples of each benchmark
 // (or a captured `go test -bench` output) against the microbenchmark
 // samples of a committed BENCH_<n>.json and fails when a shared
@@ -63,9 +63,12 @@ var errRegression = errors.New("benchmark regression against baseline")
 
 // benchPattern selects the microbenchmarks a baseline records and the
 // gate compares: encode and decode throughput, the reference-vs-fast
-// decoder split, the pooled serve-path decode, and the served path cold
-// and warm.
-const benchPattern = "CompressThroughput|DecompressThroughput|DecodeThroughput|DecodePooled|ServerCompress"
+// decoder split, the pooled serve-path decode, the served path cold
+// and warm, the timing simulator (100k instructions of pegwit, native
+// and CodePack) and the assembler. VMExecute is left out: it times one
+// VM step, so at -benchtime 20x a sample is a few microseconds of work,
+// and three such samples on a 2-vCPU VM read 178, 276 and 751 ns/op.
+const benchPattern = "CompressThroughput|DecompressThroughput|DecodeThroughput|DecodePooled|ServerCompress|SimulatorNative|SimulatorCodePack|Assemble"
 
 const (
 	// benchCount is how many passes over the set a run makes, one

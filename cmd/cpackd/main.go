@@ -38,10 +38,11 @@
 //
 // With -debug-addr set a second, private listener serves the
 // diagnostics surface: net/http/pprof, the span-trace ring
-// (/debug/trace/recent, sized by -trace-ring), /metrics, /debug/vars,
-// /debug/slo, /debug/cluster and /debug/profiles/. The public port
-// never exposes pprof. Requests slower than -trace-slow log their full
-// span tree.
+// (/debug/trace/recent, sized by -trace-ring), /metrics, /debug/slo,
+// /debug/cluster and /debug/profiles/. The public port never exposes
+// pprof. /debug/pprof/cmdline serves argv, -cluster-key included, so
+// keep -debug-addr on loopback, or put the key in the tenants file.
+// Requests slower than -trace-slow log their full span tree.
 //
 // With -slos set, every public request is graded against burn-rate
 // SLOs (multi-window: 5m/1h fast, 30m/6h slow) and the alert state is

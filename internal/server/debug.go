@@ -56,9 +56,11 @@ func (s *Server) handleTraceRecent(w http.ResponseWriter, r *http.Request) {
 }
 
 // DebugHandler returns the private diagnostics surface: net/http/pprof,
-// the trace ring, metrics and vars. Serve it on a separate operator
-// listener (cpackd -debug-addr), never on the public port — profiling
-// endpoints can stall the process and are not meant for clients. The
+// the trace ring, metrics, SLO and cluster views, and the profile ring.
+// Serve it on a separate operator listener (cpackd -debug-addr), on
+// loopback or an internal interface, never on the public port:
+// profiling endpoints can stall the process, and /debug/pprof/cmdline
+// serves the process's argv, flags such as -cluster-key included. The
 // public mux deliberately has no pprof routes.
 func (s *Server) DebugHandler() http.Handler {
 	mux := http.NewServeMux()
@@ -68,7 +70,6 @@ func (s *Server) DebugHandler() http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("GET /debug/trace/recent", s.handleTraceRecent)
-	mux.HandleFunc("GET /debug/vars", s.handleVars)
 	mux.HandleFunc("GET /debug/slo", s.handleDebugSLO)
 	mux.HandleFunc("GET /debug/cluster", s.handleDebugCluster)
 	if s.profiler != nil {

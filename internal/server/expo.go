@@ -245,7 +245,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		x.family("cpackd_peer_misses_total", "counter", "Warm-tier lookups the owner answered empty.")
 		x.counter("cpackd_peer_misses_total", "", m.peerMisses.value())
 		x.family("cpackd_peer_errors_total", "counter", "Peer fetch failures, breaker skips and failed payload verifications.")
-		x.counter("cpackd_peer_errors_total", "", m.peerErrors.value())
+		x.counter("cpackd_peer_errors_total", "", st.FetchErrors+st.BreakerSkips+cs.Rejected)
+		x.family("cpackd_peer_background_errors_total", "counter", "Failed background peer calls, by operation.")
+		x.counter("cpackd_peer_background_errors_total", "op=\"replicate\"", st.ReplicationErrors)
+		x.counter("cpackd_peer_background_errors_total", "op=\"offer\"", st.OfferErrors)
+		x.counter("cpackd_peer_background_errors_total", "op=\"heartbeat\"", st.HeartbeatFailures)
 		x.family("cpackd_peer_replications_total", "counter", "Entries pushed to their ring owner (async replication + anti-entropy).")
 		x.counter("cpackd_peer_replications_total", "", st.ReplicationsSent)
 		x.family("cpackd_peer_replications_dropped_total", "counter", "Replication jobs dropped because the queue was full.")
@@ -343,6 +347,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			for _, reason := range reasons {
 				x.counter("cpackd_tenant_limited_total", fmt.Sprintf("tenant=%q,reason=%q", id, reason), limited[reason])
 			}
+		}
+		x.family("cpackd_tenant_quota_window_bytes", "gauge", "Bytes charged to each tenant's quota in its current rolling window.")
+		now := time.Now()
+		for _, id := range tenants {
+			x.gaugeInt("cpackd_tenant_quota_window_bytes", fmt.Sprintf("tenant=%q", id), s.tenants.WindowBytes(id, now))
 		}
 	}
 

@@ -121,6 +121,76 @@ func TestFlightGroupFollowerCancel(t *testing.T) {
 	}
 }
 
+// TestFlightGroupFillPanic: a fill that panics still releases its key:
+// a parked follower is woken with a 500 at once rather than waiting out
+// its deadline, and the next do for the key runs a fresh fill.
+func TestFlightGroupFillPanic(t *testing.T) {
+	var g flightGroup
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	leader := make(chan any, 1)
+	go func() {
+		defer func() { leader <- recover() }()
+		g.do(context.Background(), "k", func(context.Context) (*codepack.Compressed, bool, *httpError) {
+			close(entered)
+			<-release
+			panic("injected")
+		})
+	}()
+	<-entered
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	fctx := &parkedCtx{Context: ctx, parked: make(chan struct{})}
+	woken := make(chan *httpError, 1)
+	go func() {
+		_, _, follower, herr := g.do(fctx, "k", func(context.Context) (*codepack.Compressed, bool, *httpError) {
+			t.Error("follower ran its own fill")
+			return nil, false, nil
+		})
+		if !follower {
+			t.Error("waiter not reported as follower")
+		}
+		woken <- herr
+	}()
+	<-fctx.parked
+	close(release)
+
+	if v := <-leader; v != "injected" {
+		t.Errorf("leader recovered %v, want the fill's panic", v)
+	}
+	select {
+	case herr := <-woken:
+		if herr == nil || herr.code != http.StatusInternalServerError {
+			t.Errorf("follower got %v, want 500", herr)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("follower still parked after the fill panicked")
+	}
+
+	fills := 0
+	_, _, follower, herr := g.do(ctx, "k", func(context.Context) (*codepack.Compressed, bool, *httpError) {
+		fills++
+		return nil, false, nil
+	})
+	if follower || fills != 1 || herr != nil {
+		t.Errorf("next do: follower=%v fills=%d err=%v, want a fresh fill", follower, fills, herr)
+	}
+}
+
+// parkedCtx closes parked the first time Done is asked for, which in
+// flightGroup.do is a follower entering its wait on the flight.
+type parkedCtx struct {
+	context.Context
+	once   sync.Once
+	parked chan struct{}
+}
+
+func (c *parkedCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.parked) })
+	return c.Context.Done()
+}
+
 // TestCompressCoalescingAccounting: under a burst of identical
 // compress requests exactly one compression runs; every other request
 // is a cache hit or a coalesced follower.

@@ -29,6 +29,7 @@ type compCache struct {
 	entries map[string]*compEntry
 
 	hits, misses, evictions uint64
+	rejected                uint64 // quarantined replicas dropped after failing verification
 	bytes                   int64
 
 	// Persistence (nil store = memory only).
@@ -59,6 +60,7 @@ type cacheStats struct {
 	Entries    int    `json:"entries"`
 	Bytes      int64  `json:"bytes"`
 	Unverified int    `json:"unverified"`
+	Rejected   uint64 `json:"rejected"`
 }
 
 // newCompCache builds a cache holding at most capEntries compressed
@@ -178,13 +180,14 @@ func (c *compCache) confirm(key string, comp *codepack.Compressed) {
 }
 
 // drop removes key's quarantined entry if it still holds comp, the
-// payload the caller saw fail verification.
+// payload the caller saw fail verification, and counts it rejected.
 func (c *compCache) drop(key string, comp *codepack.Compressed) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[key]; ok && e.comp == comp && !e.verified {
 		c.bytes -= e.bytes
 		delete(c.entries, key)
+		c.rejected++
 	}
 }
 
@@ -326,5 +329,6 @@ func (c *compCache) stats() cacheStats {
 		Entries:    len(c.entries),
 		Bytes:      c.bytes,
 		Unverified: unverified,
+		Rejected:   c.rejected,
 	}
 }

@@ -1,19 +1,11 @@
 package server
 
 import (
-	"encoding/json"
 	"math"
-	"net/http"
-	"os"
-	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"codepack/internal/obs"
-	"codepack/internal/peer"
 )
 
 // counter is a monotonically increasing metric.
@@ -83,9 +75,9 @@ func (h *histogram) observeTraced(sec float64, traceID string) {
 // a snapshot taken mid-observation may momentarily show n one ahead of
 // the bucket totals, but counts never tear and totals never decrease.
 type histSnapshot struct {
-	Counts [numBuckets + 1]uint64 `json:"counts"`
-	Sum    float64                `json:"sum_seconds"`
-	N      uint64                 `json:"count"`
+	Counts [numBuckets + 1]uint64
+	Sum    float64
+	N      uint64
 }
 
 func (h *histogram) snapshot() histSnapshot {
@@ -185,7 +177,7 @@ func (t *tenantStats) limitedByReason() map[string]uint64 {
 }
 
 // metrics is the server's observability state, published at /metrics
-// (Prometheus text format) and /debug/vars (expvar-style JSON).
+// (Prometheus text or OpenMetrics, see expo.go).
 type metrics struct {
 	start time.Time
 
@@ -202,9 +194,9 @@ type metrics struct {
 	coalesced counter // compressions served by riding an in-flight fill
 
 	// Warm-tier counters (only exported while a cluster is configured);
-	// hits and ring changes are read from the cluster's own stats.
-	peerMisses counter // owner definitively lacked the digest
-	peerErrors counter // fetch failures, breaker skips, failed verifications
+	// hits, errors and ring changes are read from the cluster's and the
+	// cache's own stats.
+	peerMisses counter // lookups that ended FetchMiss (one per lookup, not per replica)
 	aePasses   counter // anti-entropy passes completed (startup + ring changes)
 
 	// Stage histograms: one per span name, fed by the tracer's OnSpanEnd
@@ -308,158 +300,4 @@ func (m *metrics) endpointNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// varsSnapshot is the /debug/vars document: the expvar JSON shape
-// (cmdline + memstats) plus the cpackd application metrics, rendered
-// without touching the process-global expvar registry so multiple servers
-// can coexist in one process (tests spin several up).
-type varsSnapshot struct {
-	Cmdline  []string         `json:"cmdline"`
-	MemStats runtime.MemStats `json:"memstats"`
-	Cpackd   appVars          `json:"cpackd"`
-}
-
-type appVars struct {
-	UptimeSeconds float64                 `json:"uptime_seconds"`
-	Endpoints     map[string]endpointVars `json:"endpoints"`
-	Cache         cacheStats              `json:"cache"`
-	CacheStore    *storeStats             `json:"cache_store,omitempty"`
-	Queues        map[string]int          `json:"queue_depth"`
-	Shed          uint64                  `json:"requests_shed"`
-	Timeouts      uint64                  `json:"request_timeouts"`
-	Coalesced     uint64                  `json:"compress_coalesced"`
-	Stages        map[string]histSnapshot `json:"stages,omitempty"`
-	Traces        uint64                  `json:"traces_recorded"`
-	TracesEvicted uint64                  `json:"traces_evicted"`
-	TraceRingCap  int                     `json:"trace_ring_capacity"`
-	SLOState      string                  `json:"slo_state,omitempty"`
-	Profiler      *obs.ProfilerStats      `json:"profiler,omitempty"`
-	Peer          *peerVars               `json:"peer,omitempty"`
-	Tenants       map[string]tenantVars   `json:"tenants,omitempty"`
-	AuthFail      map[string]uint64       `json:"auth_failures,omitempty"`
-}
-
-// tenantVars is the per-tenant section of /debug/vars.
-type tenantVars struct {
-	ByCode      map[string]uint64 `json:"requests_by_code"`
-	Limited     map[string]uint64 `json:"limited_by_reason,omitempty"`
-	BytesIn     uint64            `json:"bytes_in"`
-	BytesOut    uint64            `json:"bytes_out"`
-	WindowBytes int64             `json:"quota_window_bytes"`
-}
-
-// peerVars is the warm-tier section of /debug/vars.
-type peerVars struct {
-	Self       string            `json:"self"`
-	Members    []string          `json:"members"`
-	RingEpoch  uint64            `json:"ring_epoch"`
-	Membership []peer.MemberInfo `json:"membership"`
-	Hits       uint64            `json:"hits"`
-	Misses     uint64            `json:"misses"`
-	Errors     uint64            `json:"errors"`
-	AEPasses   uint64            `json:"antientropy_passes"`
-	ReplQueue  int               `json:"repl_queue_depth"`
-	ReplOldest float64           `json:"repl_queue_age_seconds"`
-	Cluster    peer.Stats        `json:"cluster"`
-	Breakers   []peer.PeerHealth `json:"breakers"`
-}
-
-type endpointVars struct {
-	ByCode   map[string]uint64 `json:"requests_by_code"`
-	Latency  histSnapshot      `json:"latency"`
-	BytesIn  uint64            `json:"bytes_in"`
-	BytesOut uint64            `json:"bytes_out"`
-}
-
-func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
-	snap := varsSnapshot{
-		Cmdline: os.Args,
-		Cpackd: appVars{
-			UptimeSeconds: time.Since(s.metrics.start).Seconds(),
-			Endpoints:     make(map[string]endpointVars),
-			Cache:         s.cache.stats(),
-			Queues:        map[string]int{"light": s.light.depth(), "heavy": s.heavy.depth()},
-			Shed:          s.metrics.shed.value(),
-			Timeouts:      s.metrics.timeouts.value(),
-			Coalesced:     s.metrics.coalesced.value(),
-		},
-	}
-	if st := s.cache.store; st != nil {
-		ss := st.statsSnapshot()
-		snap.Cpackd.CacheStore = &ss
-	}
-	if c := s.cluster; c != nil {
-		st := c.Stats()
-		snap.Cpackd.Peer = &peerVars{
-			Self:       c.Self(),
-			Members:    c.Members(),
-			RingEpoch:  c.RingEpoch(),
-			Membership: c.MembershipView(),
-			Hits:       st.FetchHits,
-			Misses:     s.metrics.peerMisses.value(),
-			Errors:     s.metrics.peerErrors.value(),
-			AEPasses:   s.metrics.aePasses.value(),
-			ReplQueue:  c.ReplQueueDepth(),
-			ReplOldest: c.ReplQueueOldestAge().Seconds(),
-			Cluster:    st,
-			Breakers:   c.Health(),
-		}
-	}
-	if names := s.metrics.stageNames(); len(names) > 0 {
-		snap.Cpackd.Stages = make(map[string]histSnapshot, len(names))
-		for _, n := range names {
-			snap.Cpackd.Stages[n] = s.metrics.stage(n).snapshot()
-		}
-	}
-	if names := s.metrics.tenantNames(); len(names) > 0 {
-		snap.Cpackd.Tenants = make(map[string]tenantVars, len(names))
-		now := time.Now()
-		for _, id := range names {
-			t := s.metrics.tenant(id)
-			codes := make(map[string]uint64)
-			for c, n := range t.codes() {
-				codes[strconv.Itoa(c)] = n
-			}
-			snap.Cpackd.Tenants[id] = tenantVars{
-				ByCode:      codes,
-				Limited:     t.limitedByReason(),
-				BytesIn:     t.bytesIn.value(),
-				BytesOut:    t.bytesOut.value(),
-				WindowBytes: s.tenants.WindowBytes(id, now),
-			}
-		}
-	}
-	snap.Cpackd.AuthFail = map[string]uint64{
-		"api":      s.metrics.authFailures.value(),
-		"internal": s.metrics.internalAuthFailures.value(),
-	}
-	snap.Cpackd.Traces = s.tracer.Total()
-	snap.Cpackd.TracesEvicted = s.tracer.Evicted()
-	snap.Cpackd.TraceRingCap = s.tracer.Capacity()
-	if s.slo != nil {
-		snap.Cpackd.SLOState = s.slo.WorstState().String()
-	}
-	if s.profiler != nil {
-		ps := s.profiler.Stats()
-		snap.Cpackd.Profiler = &ps
-	}
-	runtime.ReadMemStats(&snap.MemStats)
-	for _, name := range s.metrics.endpointNames() {
-		e := s.metrics.endpoint(name)
-		codes := make(map[string]uint64)
-		for c, n := range e.codes() {
-			codes[strconv.Itoa(c)] = n
-		}
-		snap.Cpackd.Endpoints[name] = endpointVars{
-			ByCode:   codes,
-			Latency:  e.latency.snapshot(),
-			BytesIn:  e.bytesIn.value(),
-			BytesOut: e.bytesOut.value(),
-		}
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(snap)
 }

@@ -542,23 +542,8 @@ func TestSLOSmoke(t *testing.T) {
 		}
 	}
 
-	// The trace ring flag surface: /debug/vars reports the capacity and
-	// eviction counter.
-	varsBody, _ := getBody(t, urlA+"/debug/vars", "")
-	var vars struct {
-		Cpackd struct {
-			TraceRingCap  int    `json:"trace_ring_capacity"`
-			TracesEvicted uint64 `json:"traces_evicted"`
-			SLOState      string `json:"slo_state"`
-		} `json:"cpackd"`
-	}
-	if err := json.Unmarshal([]byte(varsBody), &vars); err != nil {
-		t.Fatal(err)
-	}
-	if vars.Cpackd.TraceRingCap != trace.DefaultCapacity {
-		t.Errorf("trace_ring_capacity = %d, want %d", vars.Cpackd.TraceRingCap, trace.DefaultCapacity)
-	}
-	if vars.Cpackd.SLOState != "page" {
-		t.Errorf("vars slo_state = %q, want page", vars.Cpackd.SLOState)
+	// The trace ring flag surface: /metrics reports the capacity.
+	if got := metricValue(t, scrapeURL(t, urlA), "cpackd_trace_ring_capacity"); got != trace.DefaultCapacity {
+		t.Errorf("cpackd_trace_ring_capacity = %v, want %d", got, trace.DefaultCapacity)
 	}
 }

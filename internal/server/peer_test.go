@@ -255,8 +255,10 @@ func TestPeerPoisonRejected(t *testing.T) {
 	if resp.Cached {
 		t.Error("poisoned fetch reported cached; should have compressed locally")
 	}
-	if got := metricValue(t, scrapeURL(t, urlB), "cpackd_peer_errors_total"); got < 1 {
-		t.Errorf("cpackd_peer_errors_total = %v, want >= 1", got)
+	// One bad replica is one error: the failed verify, not also the
+	// unavailable walk it ended.
+	if got := metricValue(t, scrapeURL(t, urlB), "cpackd_peer_errors_total"); got != 1 {
+		t.Errorf("cpackd_peer_errors_total = %v, want 1", got)
 	}
 
 	// The locally compressed (correct) entry must be what is cached:
@@ -317,6 +319,9 @@ func TestPeerQuarantineVerifyAtUse(t *testing.T) {
 	resp := compressImageOn(t, urlB, im)
 	if resp.Cached {
 		t.Error("wrong replica was served as a cache hit")
+	}
+	if got := metricValue(t, scrapeURL(t, urlB), "cpackd_peer_errors_total"); got != 1 {
+		t.Errorf("cpackd_peer_errors_total = %v, want 1 (the rejected replica)", got)
 	}
 	raw, err := base64.StdEncoding.DecodeString(resp.CompressedB64)
 	if err != nil {

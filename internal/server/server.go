@@ -16,11 +16,10 @@
 //     (removing torn or corrupt files) so a warm cache survives
 //     deploys. See docs/SERVER.md "Persistence".
 //
-//   - Observability: GET /metrics (Prometheus text format) and
-//     GET /debug/vars (expvar-style JSON) publish request counts by
-//     status, cache hit/miss/eviction rates, queue depths, bytes in/out
-//     and per-endpoint latency histograms; every request emits one
-//     structured access-log line via log/slog.
+//   - Observability: GET /metrics (Prometheus text or OpenMetrics)
+//     publishes request counts by status, cache hit/miss/eviction rates,
+//     queue depths, bytes in/out and per-endpoint latency histograms;
+//     every request emits one structured access-log line via log/slog.
 //
 //   - Graceful shutdown: Close drains the pools so admitted work
 //     finishes; cmd/cpackd pairs it with http.Server.Shutdown on SIGTERM.
@@ -47,6 +46,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"time"
 
@@ -279,7 +279,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.Handle("GET /v1/bench/{name}", s.instrument("bench", s.handleBench))
 	s.mux.Handle("GET /v1/bench", s.instrument("bench_list", s.handleBenchList))
 	s.mux.Handle("GET /metrics", http.HandlerFunc(s.handleMetrics))
-	s.mux.Handle("GET /debug/vars", http.HandlerFunc(s.handleVars))
 	s.mux.Handle("GET /debug/trace/recent", http.HandlerFunc(s.handleTraceRecent))
 	s.mux.Handle("GET /debug/slo", http.HandlerFunc(s.handleDebugSLO))
 	s.mux.Handle("GET /debug/cluster", http.HandlerFunc(s.handleDebugCluster))
@@ -588,6 +587,9 @@ type httpError struct {
 
 func (e *httpError) Error() string { return e.msg }
 
+// errInternal answers a request whose pooled work panicked.
+var errInternal = &httpError{code: http.StatusInternalServerError, msg: "internal error"}
+
 func badRequest(format string, args ...any) *httpError {
 	return &httpError{code: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
 }
@@ -765,7 +767,7 @@ func (s *Server) writeError(w http.ResponseWriter, e *httpError) {
 // dispatch runs fn on the given pool under the request tenant's queue
 // and weight, and writes fn's result, translating pool conditions to
 // statuses: the tenant's queue full -> 429 + that tenant's own
-// Retry-After, draining -> 503, deadline -> 503.
+// Retry-After, draining -> 503, deadline -> 503, a panic in fn -> 500.
 func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, p *pool, op string, fn func(ctx context.Context) (any, *httpError)) {
 	ctx := r.Context()
 	tenantID, weight := tenant.AnonID, 1
@@ -780,6 +782,15 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, p *pool, op st
 	_, qs := trace.Start(ctx, "queue-wait", trace.String("pool", p.name))
 	err := p.doAs(ctx, tenantID, weight, func() {
 		qs.End()
+		// Workers run outside net/http's per-connection recover, so a
+		// panic here would end the process: answer 500 and keep serving.
+		defer func() {
+			if v := recover(); v != nil {
+				s.log.Error("panic in pooled work", "op", op, "request_id", trace.ID(ctx),
+					"panic", v, "stack", string(debug.Stack()))
+				resp, herr = nil, errInternal
+			}
+		}()
 		if s.testHook != nil {
 			s.testHook(op)
 		}
@@ -934,7 +945,6 @@ func (s *Server) fillMiss(ctx context.Context, digest string, im *codepack.Image
 				comp = c
 				return true
 			}
-			s.metrics.peerErrors.add(1)
 			s.log.Warn("peer payload failed verification, trying next replica",
 				"digest", digest, "peer", owner, "err", err)
 			return false
@@ -946,8 +956,6 @@ func (s *Server) fillMiss(ctx context.Context, digest string, im *codepack.Image
 			return comp, true, nil
 		case peer.FetchMiss:
 			s.metrics.peerMisses.add(1)
-		case peer.FetchUnavailable:
-			s.metrics.peerErrors.add(1)
 		}
 	}
 	cctx, cs := trace.Start(ctx, "compress", trace.Int("instructions", len(im.Text)))
@@ -984,7 +992,6 @@ func (s *Server) cachedVerified(digest string, im *codepack.Image, isRecheck boo
 		s.cache.confirm(digest, comp)
 		return comp, true
 	}
-	s.metrics.peerErrors.add(1)
 	s.log.Warn("quarantined replica failed verification, dropping", "digest", digest)
 	s.cache.drop(digest, comp)
 	return nil, false

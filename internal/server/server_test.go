@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -315,16 +316,6 @@ func TestSaturatedPoolSheds(t *testing.T) {
 	}
 }
 
-// debugVars is the subset of /debug/vars the tests assert on.
-type debugVars struct {
-	Cpackd struct {
-		Endpoints map[string]struct {
-			ByCode map[string]uint64 `json:"requests_by_code"`
-		} `json:"endpoints"`
-		Cache cacheStats `json:"cache"`
-	} `json:"cpackd"`
-}
-
 // TestMetricsAdvance verifies request counters and histograms move.
 func TestMetricsAdvance(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
@@ -345,14 +336,27 @@ func TestMetricsAdvance(t *testing.T) {
 	if got := metricValue(t, body, `cpackd_cache_hits_total`); got != 2 {
 		t.Errorf("cache hits = %v, want 2", got)
 	}
+}
 
-	vars := decodeBody[debugVars](t, mustGet(t, ts.URL+"/debug/vars"), http.StatusOK)
-	if vars.Cpackd.Endpoints["compress"].ByCode["200"] != 3 {
-		t.Errorf("debug/vars compress 200s = %d, want 3",
-			vars.Cpackd.Endpoints["compress"].ByCode["200"])
+// TestPooledPanicAnswers500: a panic in pooled work answers its request
+// 500 instead of ending the process, and the only light worker goes on
+// serving the next request.
+func TestPooledPanicAnswers500(t *testing.T) {
+	s, ts := newTestServer(t, Config{LightWorkers: 1})
+	var panicked atomic.Bool
+	s.testHook = func(op string) {
+		if op == "compress" && panicked.CompareAndSwap(false, true) {
+			panic("injected")
+		}
 	}
-	if vars.Cpackd.Cache.Hits != 2 {
-		t.Errorf("debug/vars cache hits = %d, want 2", vars.Cpackd.Cache.Hits)
+	req := CompressRequest{ProgramRef: ProgramRef{Asm: testAsm}}
+	got := decodeBody[errorResponse](t, postJSON(t, ts.URL+"/v1/compress", req), http.StatusInternalServerError)
+	if got.Error != "internal error" {
+		t.Errorf("panic answered %q, want \"internal error\"", got.Error)
+	}
+	decodeBody[CompressResponse](t, postJSON(t, ts.URL+"/v1/compress", req), http.StatusOK)
+	if got := scrapeMetric(t, ts, `cpackd_requests_total{endpoint="compress",code="500"}`); got != 1 {
+		t.Errorf("compress 500s = %v, want 1", got)
 	}
 }
 

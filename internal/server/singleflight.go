@@ -30,7 +30,8 @@ type flight struct {
 // which case it waits for that fill's result. The follower bool
 // reports which side this call was. A follower whose ctx ends while
 // waiting abandons the wait (the leader's fill continues and still
-// lands in the cache).
+// lands in the cache). If fn panics, the key is released and the
+// followers get a 500 before the panic continues up the leader's stack.
 func (g *flightGroup) do(ctx context.Context, key string, fn func(ctx context.Context) (*codepack.Compressed, bool, *httpError)) (comp *codepack.Compressed, cached bool, follower bool, herr *httpError) {
 	g.mu.Lock()
 	if g.m == nil {
@@ -49,14 +50,16 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func(ctx context.Co
 				msg: "request ended while waiting on an in-flight compression"}
 		}
 	}
-	f := &flight{done: make(chan struct{})}
+	f := &flight{done: make(chan struct{}), herr: errInternal}
 	g.m[key] = f
 	g.mu.Unlock()
+	defer func() {
+		g.mu.Lock()
+		delete(g.m, key)
+		g.mu.Unlock()
+		close(f.done)
+	}()
 
 	f.comp, f.cached, f.herr = fn(ctx)
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
-	close(f.done)
 	return f.comp, f.cached, false, f.herr
 }

@@ -47,10 +47,10 @@ type diskStore struct {
 
 // storeStats counts persistence activity; read it via (*diskStore).statsSnapshot.
 type storeStats struct {
-	RestoredEntries uint64 `json:"restored_entries"`
-	RecordsSkipped  uint64 `json:"records_skipped"`
-	Appends         uint64 `json:"appends"`
-	AppendErrors    uint64 `json:"append_errors"`
+	RestoredEntries uint64
+	RecordsSkipped  uint64
+	Appends         uint64
+	AppendErrors    uint64
 }
 
 // storedEntry is one intact entry file read at boot.

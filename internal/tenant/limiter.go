@@ -115,7 +115,7 @@ func (ls *limiterState) quotaCheck(limits *Tenant, now time.Time) Decision {
 	return Decision{Reason: "quota", RetryAfter: wait}
 }
 
-// windowBytes reports current rolling-window byte usage (for /debug/vars).
+// windowBytes reports current rolling-window byte usage (for /metrics).
 func (ls *limiterState) windowBytes(now time.Time) int64 {
 	sec := now.Unix()
 	horizon := sec - int64(len(ls.buckets))

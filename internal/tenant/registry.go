@@ -104,8 +104,8 @@ func (r *Registry) AccountBytes(id string, n int64, now time.Time) {
 	r.state(id).chargeBytes(n, now)
 }
 
-// WindowBytes reports id's current rolling-window byte usage, for
-// /debug/vars introspection.
+// WindowBytes reports id's current rolling-window byte usage, for the
+// cpackd_tenant_quota_window_bytes gauge.
 func (r *Registry) WindowBytes(id string, now time.Time) int64 {
 	r.mu.Lock()
 	ls := r.states[id]

@@ -161,8 +161,8 @@ func (t *Tracer) Total() uint64 {
 }
 
 // Evicted returns how many recorded traces have been overwritten by
-// newer ones — the ring's loss counter, surfaced in /debug/vars so an
-// undersized -trace-ring is visible.
+// newer ones — the ring's loss counter, surfaced on /metrics as
+// cpackd_traces_evicted_total so an undersized -trace-ring is visible.
 func (t *Tracer) Evicted() uint64 {
 	if t == nil {
 		return 0
