@@ -79,11 +79,13 @@ cluster-smoke:
 # Replay the pinned deterministic fault schedules — partition,
 # crash/restart, message duplication, and the R=2 replication set
 # (primary crash with zero recompressions, partition staleness bounds)
-# — against the real membership and ring code in virtual time, plus the
-# impostor check and the same-seed ⇒ byte-identical event-log
-# determinism guard.
+# — in virtual time on nodes that run the real membership, ring and
+# compression cache with its entry files, plus the impostor check, the
+# quarantine race (impostors landing inside requests, a crash and a
+# restart, over 20 seeds) and the same-seed ⇒ byte-identical event-log
+# determinism guard. The pattern also matches TestSimulateEndpoint.
 sim-smoke:
-	$(GO) test -race -count=1 ./internal/peer/sim
+	$(GO) test -race -count=1 -run '^TestSim' ./internal/server
 
 # Multi-tenant isolation smoke: fair admission must keep a light
 # tenant's p99 under the pinned bound while a 10x-heavier tenant sheds

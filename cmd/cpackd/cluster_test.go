@@ -123,7 +123,7 @@ func TestDynamicJoinAndLeave(t *testing.T) {
 	addrA, urlA := freeURL(t)
 	addrB, urlB := freeURL(t)
 	addrC, urlC := freeURL(t)
-	ring3 := peer.NewRing([]string{urlA, urlB, urlC}, peer.DefaultReplicas)
+	ring3 := peer.NewRing([]string{urlA, urlB, urlC})
 
 	// A and B know only each other; C is nobody's seed.
 	clusterFlags := []string{"-peer-timeout", "500ms", "-peer-heartbeat", "100ms"}
@@ -189,7 +189,7 @@ func TestDynamicJoinAndLeave(t *testing.T) {
 	waitDaemonMetric(t, dB, "cpackd_peer_members", 2)
 
 	// The survivors serve C's digest warm from the handoff.
-	ring2 := peer.NewRing([]string{urlA, urlB}, peer.DefaultReplicas)
+	ring2 := peer.NewRing([]string{urlA, urlB})
 	im, err := codepack.Assemble("request", leaveAsm)
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +242,7 @@ func TestReplicatedClusterCrashFailover(t *testing.T) {
 	addrB, urlB := freeURL(t)
 	addrC, urlC := freeURL(t)
 	addrD, urlD := freeURL(t)
-	ring := peer.NewRing([]string{urlA, urlB, urlC, urlD}, peer.DefaultReplicas)
+	ring := peer.NewRing([]string{urlA, urlB, urlC, urlD})
 
 	// Membership is frozen (hour-scale heartbeats and timers): the ring
 	// never drops the crashed primary, so fetches keep walking the full
@@ -350,7 +350,7 @@ func TestTwoInstanceCluster(t *testing.T) {
 
 	addrA, urlA := freeURL(t)
 	addrB, urlB := freeURL(t)
-	ring := peer.NewRing([]string{urlA, urlB}, peer.DefaultReplicas)
+	ring := peer.NewRing([]string{urlA, urlB})
 
 	dA := startDaemon(t, "-addr", addrA, "-peer-self", urlA, "-peers", urlB,
 		"-peer-timeout", "500ms")

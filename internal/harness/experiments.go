@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 
 	"codepack/internal/core"
@@ -13,18 +12,15 @@ import (
 
 // Table1 characterizes the benchmarks on the 4-issue model: dynamic
 // instruction count and L1 I-cache miss rate (paper Table 1).
-func (s *Suite) Table1() (*Table, error) { return s.Table1Context(context.Background()) }
-
-// Table1Context is Table1 with cancellation.
-func (s *Suite) Table1Context(ctx context.Context) (*Table, error) {
+func (s *Suite) Table1() (*Table, error) {
 	t := newTable("table1", "Benchmarks (4-issue, native)",
 		"bench", "instructions (M)", "text KB", "L1 I-miss rate")
-	benches, err := s.AllContext(ctx)
+	benches, err := s.All()
 	if err != nil {
 		return nil, err
 	}
 	for _, b := range benches {
-		r, err := s.RunContext(ctx, b, cpu.FourIssue(), cpu.NativeModel())
+		r, err := s.Run(b, cpu.FourIssue(), cpu.NativeModel())
 		if err != nil {
 			return nil, err
 		}
@@ -75,13 +71,10 @@ func Table2() *Table {
 }
 
 // Table3 reports the compression ratio of each benchmark's text section.
-func (s *Suite) Table3() (*Table, error) { return s.Table3Context(context.Background()) }
-
-// Table3Context is Table3 with cancellation.
-func (s *Suite) Table3Context(ctx context.Context) (*Table, error) {
+func (s *Suite) Table3() (*Table, error) {
 	t := newTable("table3", "Compression ratio of .text section",
 		"bench", "original (bytes)", "compressed (bytes)", "ratio")
-	benches, err := s.AllContext(ctx)
+	benches, err := s.All()
 	if err != nil {
 		return nil, err
 	}
@@ -96,13 +89,10 @@ func (s *Suite) Table3Context(ctx context.Context) (*Table, error) {
 }
 
 // Table4 reports the composition of the compressed region.
-func (s *Suite) Table4() (*Table, error) { return s.Table4Context(context.Background()) }
-
-// Table4Context is Table4 with cancellation.
-func (s *Suite) Table4Context(ctx context.Context) (*Table, error) {
+func (s *Suite) Table4() (*Table, error) {
 	t := newTable("table4", "Composition of compressed region",
 		"bench", "index", "dict", "tags", "indices", "raw tags", "raw bits", "pad", "total (bytes)")
-	benches, err := s.AllContext(ctx)
+	benches, err := s.All()
 	if err != nil {
 		return nil, err
 	}
@@ -124,16 +114,13 @@ func (s *Suite) Table4Context(ctx context.Context) (*Table, error) {
 
 // Table5 reports IPC for native, baseline CodePack and optimized CodePack
 // on all three architectures.
-func (s *Suite) Table5() (*Table, error) { return s.Table5Context(context.Background()) }
-
-// Table5Context is Table5 with cancellation.
-func (s *Suite) Table5Context(ctx context.Context) (*Table, error) {
+func (s *Suite) Table5() (*Table, error) {
 	t := newTable("table5", "Instructions per cycle",
 		"bench",
 		"1i native", "1i codepack", "1i optimized",
 		"4i native", "4i codepack", "4i optimized",
 		"8i native", "8i codepack", "8i optimized")
-	benches, err := s.AllContext(ctx)
+	benches, err := s.All()
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +135,7 @@ func (s *Suite) Table5Context(ctx context.Context) (*Table, error) {
 				{"codepack", cpu.BaselineModel()},
 				{"optimized", cpu.OptimizedModel()},
 			} {
-				r, err := s.RunContext(ctx, b, cfg, m.model)
+				r, err := s.Run(b, cfg, m.model)
 				if err != nil {
 					return nil, err
 				}
@@ -163,10 +150,7 @@ func (s *Suite) Table5Context(ctx context.Context) (*Table, error) {
 
 // Table6 sweeps index-cache geometry for cc1 on the 4-issue model and
 // reports the index-cache miss ratio during L1 misses.
-func (s *Suite) Table6() (*Table, error) { return s.Table6Context(context.Background()) }
-
-// Table6Context is Table6 with cancellation.
-func (s *Suite) Table6Context(ctx context.Context) (*Table, error) {
+func (s *Suite) Table6() (*Table, error) {
 	lineSizes := []int{1, 2, 4, 8}
 	lineCounts := []int{4, 16, 64, 256}
 	cols := []string{"lines"}
@@ -174,7 +158,7 @@ func (s *Suite) Table6Context(ctx context.Context) (*Table, error) {
 		cols = append(cols, fmt.Sprintf("%d entries/line", e))
 	}
 	t := newTable("table6", "Index cache miss ratio for cc1 (4-issue)", cols...)
-	b, err := s.BenchContext(ctx, "cc1")
+	b, err := s.Bench("cc1")
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +168,7 @@ func (s *Suite) Table6Context(ctx context.Context) (*Table, error) {
 			model := cpu.BaselineModel()
 			model.CodePack.IndexCacheLines = lines
 			model.CodePack.IndexEntriesPerLine = entries
-			r, err := s.RunContext(ctx, b, cpu.FourIssue(), model)
+			r, err := s.Run(b, cpu.FourIssue(), model)
 			if err != nil {
 				return nil, err
 			}
@@ -199,10 +183,7 @@ func (s *Suite) Table6Context(ctx context.Context) (*Table, error) {
 
 // Table7 reports speedup over native due to the index cache: baseline
 // CodePack, CodePack with the 64x4 index cache, and a perfect index cache.
-func (s *Suite) Table7() (*Table, error) { return s.Table7Context(context.Background()) }
-
-// Table7Context is Table7 with cancellation.
-func (s *Suite) Table7Context(ctx context.Context) (*Table, error) {
+func (s *Suite) Table7() (*Table, error) {
 	t := newTable("table7", "Speedup due to index cache (4-issue)",
 		"bench", "codepack", "index cache", "perfect")
 	withIdx := cpu.BaselineModel()
@@ -210,7 +191,7 @@ func (s *Suite) Table7Context(ctx context.Context) (*Table, error) {
 	withIdx.CodePack.IndexEntriesPerLine = 4
 	perfect := cpu.BaselineModel()
 	perfect.CodePack.PerfectIndex = true
-	return s.speedupTable(ctx, t, cpu.FourIssue(), []namedModel{
+	return s.speedupTable(t, cpu.FourIssue(), []namedModel{
 		{"codepack", cpu.BaselineModel()},
 		{"index cache", withIdx},
 		{"perfect", perfect},
@@ -218,17 +199,14 @@ func (s *Suite) Table7Context(ctx context.Context) (*Table, error) {
 }
 
 // Table8 reports speedup over native due to decompression width.
-func (s *Suite) Table8() (*Table, error) { return s.Table8Context(context.Background()) }
-
-// Table8Context is Table8 with cancellation.
-func (s *Suite) Table8Context(ctx context.Context) (*Table, error) {
+func (s *Suite) Table8() (*Table, error) {
 	t := newTable("table8", "Speedup due to decompression rate (4-issue)",
 		"bench", "codepack", "2 decoders", "16 decoders")
 	two := cpu.BaselineModel()
 	two.CodePack.DecodeRate = 2
 	sixteen := cpu.BaselineModel()
 	sixteen.CodePack.DecodeRate = 16
-	return s.speedupTable(ctx, t, cpu.FourIssue(), []namedModel{
+	return s.speedupTable(t, cpu.FourIssue(), []namedModel{
 		{"codepack", cpu.BaselineModel()},
 		{"2 decoders", two},
 		{"16 decoders", sixteen},
@@ -236,10 +214,7 @@ func (s *Suite) Table8Context(ctx context.Context) (*Table, error) {
 }
 
 // Table9 compares the optimizations individually and together.
-func (s *Suite) Table9() (*Table, error) { return s.Table9Context(context.Background()) }
-
-// Table9Context is Table9 with cancellation.
-func (s *Suite) Table9Context(ctx context.Context) (*Table, error) {
+func (s *Suite) Table9() (*Table, error) {
 	t := newTable("table9", "Comparison of optimizations (4-issue)",
 		"bench", "codepack", "index", "decompress", "all")
 	idx := cpu.BaselineModel()
@@ -247,7 +222,7 @@ func (s *Suite) Table9Context(ctx context.Context) (*Table, error) {
 	idx.CodePack.IndexEntriesPerLine = 4
 	dec := cpu.BaselineModel()
 	dec.CodePack.DecodeRate = 2
-	return s.speedupTable(ctx, t, cpu.FourIssue(), []namedModel{
+	return s.speedupTable(t, cpu.FourIssue(), []namedModel{
 		{"codepack", cpu.BaselineModel()},
 		{"index", idx},
 		{"decompress", dec},
@@ -256,17 +231,14 @@ func (s *Suite) Table9Context(ctx context.Context) (*Table, error) {
 }
 
 // Table10 sweeps the I-cache size.
-func (s *Suite) Table10() (*Table, error) { return s.Table10Context(context.Background()) }
-
-// Table10Context is Table10 with cancellation.
-func (s *Suite) Table10Context(ctx context.Context) (*Table, error) {
+func (s *Suite) Table10() (*Table, error) {
 	sizes := []int{1, 4, 16, 64}
 	cols := []string{"bench"}
 	for _, kb := range sizes {
 		cols = append(cols, fmt.Sprintf("%dKB codepack", kb), fmt.Sprintf("%dKB optimized", kb))
 	}
 	t := newTable("table10", "Speedup over native vs I-cache size (4-issue)", cols...)
-	benches, err := s.AllContext(ctx)
+	benches, err := s.All()
 	if err != nil {
 		return nil, err
 	}
@@ -279,7 +251,7 @@ func (s *Suite) Table10Context(ctx context.Context) (*Table, error) {
 				{"codepack", cpu.BaselineModel()},
 				{"optimized", cpu.OptimizedModel()},
 			} {
-				native, comp, err := s.runPairContext(ctx, b, cfg, m.model)
+				native, comp, err := s.runPair(b, cfg, m.model)
 				if err != nil {
 					return nil, err
 				}
@@ -294,17 +266,14 @@ func (s *Suite) Table10Context(ctx context.Context) (*Table, error) {
 }
 
 // Table11 sweeps main-memory bus width.
-func (s *Suite) Table11() (*Table, error) { return s.Table11Context(context.Background()) }
-
-// Table11Context is Table11 with cancellation.
-func (s *Suite) Table11Context(ctx context.Context) (*Table, error) {
+func (s *Suite) Table11() (*Table, error) {
 	widths := []int{16, 32, 64, 128}
 	cols := []string{"bench"}
 	for _, w := range widths {
 		cols = append(cols, fmt.Sprintf("%db codepack", w), fmt.Sprintf("%db optimized", w))
 	}
 	t := newTable("table11", "Speedup over native vs memory bus width (4-issue)", cols...)
-	benches, err := s.AllContext(ctx)
+	benches, err := s.All()
 	if err != nil {
 		return nil, err
 	}
@@ -317,7 +286,7 @@ func (s *Suite) Table11Context(ctx context.Context) (*Table, error) {
 				{"codepack", cpu.BaselineModel()},
 				{"optimized", cpu.OptimizedModel()},
 			} {
-				native, comp, err := s.runPairContext(ctx, b, cfg, m.model)
+				native, comp, err := s.runPair(b, cfg, m.model)
 				if err != nil {
 					return nil, err
 				}
@@ -332,17 +301,14 @@ func (s *Suite) Table11Context(ctx context.Context) (*Table, error) {
 }
 
 // Table12 sweeps main-memory latency as a multiple of the baseline.
-func (s *Suite) Table12() (*Table, error) { return s.Table12Context(context.Background()) }
-
-// Table12Context is Table12 with cancellation.
-func (s *Suite) Table12Context(ctx context.Context) (*Table, error) {
+func (s *Suite) Table12() (*Table, error) {
 	mults := []float64{0.5, 1, 2, 4, 8}
 	cols := []string{"bench"}
 	for _, m := range mults {
 		cols = append(cols, fmt.Sprintf("%gx codepack", m), fmt.Sprintf("%gx optimized", m))
 	}
 	t := newTable("table12", "Speedup over native vs memory latency (4-issue)", cols...)
-	benches, err := s.AllContext(ctx)
+	benches, err := s.All()
 	if err != nil {
 		return nil, err
 	}
@@ -356,7 +322,7 @@ func (s *Suite) Table12Context(ctx context.Context) (*Table, error) {
 				{"codepack", cpu.BaselineModel()},
 				{"optimized", cpu.OptimizedModel()},
 			} {
-				native, comp, err := s.runPairContext(ctx, b, cfg, m.model)
+				native, comp, err := s.runPair(b, cfg, m.model)
 				if err != nil {
 					return nil, err
 				}
@@ -384,19 +350,19 @@ type namedModel struct {
 }
 
 // speedupTable fills t with one speedup column per model for every bench.
-func (s *Suite) speedupTable(ctx context.Context, t *Table, cfg cpu.Config, models []namedModel) (*Table, error) {
-	benches, err := s.AllContext(ctx)
+func (s *Suite) speedupTable(t *Table, cfg cpu.Config, models []namedModel) (*Table, error) {
+	benches, err := s.All()
 	if err != nil {
 		return nil, err
 	}
 	for _, b := range benches {
-		native, err := s.RunContext(ctx, b, cfg, cpu.NativeModel())
+		native, err := s.Run(b, cfg, cpu.NativeModel())
 		if err != nil {
 			return nil, err
 		}
 		cells := []string{b.Profile.Name}
 		for _, m := range models {
-			r, err := s.RunContext(ctx, b, cfg, m.model)
+			r, err := s.Run(b, cfg, m.model)
 			if err != nil {
 				return nil, err
 			}

@@ -2,10 +2,8 @@
 // paper's experiments: one function per table or figure, each returning a
 // rendered Table plus the raw values tests assert against.
 //
-// Every simulation entry point has a Context variant (BenchContext,
-// RunContext, Table5Context, ...) that aborts promptly on cancellation;
-// the context-free methods are thin wrappers over context.Background() so
-// existing callers don't churn.
+// BenchContext is the one cancellable entry point: the server resolves
+// benchmark refs through it under each request's context.
 package harness
 
 import (
@@ -102,14 +100,9 @@ func buildBench(name string) (*Bench, error) {
 
 // All returns every benchmark in paper order.
 func (s *Suite) All() ([]*Bench, error) {
-	return s.AllContext(context.Background())
-}
-
-// AllContext is All with cancellation.
-func (s *Suite) AllContext(ctx context.Context) ([]*Bench, error) {
 	var out []*Bench
 	for _, p := range workload.Profiles() {
-		b, err := s.BenchContext(ctx, p.Name)
+		b, err := s.Bench(p.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -121,26 +114,18 @@ func (s *Suite) AllContext(ctx context.Context) ([]*Bench, error) {
 // Run simulates bench on cfg with the given fetch model, reusing the cached
 // compressed image.
 func (s *Suite) Run(b *Bench, cfg cpu.Config, model cpu.FetchModel) (cpu.Result, error) {
-	return s.RunContext(context.Background(), b, cfg, model)
-}
-
-// RunContext is Run with cancellation: a long simulation aborts at the
-// simulator's next cancellation checkpoint instead of finishing its
-// instruction budget.
-func (s *Suite) RunContext(ctx context.Context, b *Bench, cfg cpu.Config, model cpu.FetchModel) (cpu.Result, error) {
 	if model.Kind == cpu.FetchCodePack && model.Comp == nil {
 		model.Comp = b.Comp
 	}
-	return cpu.SimulateContext(ctx, b.Image, cfg, model, s.MaxInstr)
+	return cpu.Simulate(b.Image, cfg, model, s.MaxInstr)
 }
 
-// runPairContext runs native and one compressed model and returns both
-// results.
-func (s *Suite) runPairContext(ctx context.Context, b *Bench, cfg cpu.Config, model cpu.FetchModel) (native, comp cpu.Result, err error) {
-	native, err = s.RunContext(ctx, b, cfg, cpu.NativeModel())
+// runPair runs native and one compressed model and returns both results.
+func (s *Suite) runPair(b *Bench, cfg cpu.Config, model cpu.FetchModel) (native, comp cpu.Result, err error) {
+	native, err = s.Run(b, cfg, cpu.NativeModel())
 	if err != nil {
 		return
 	}
-	comp, err = s.RunContext(ctx, b, cfg, model)
+	comp, err = s.Run(b, cfg, model)
 	return
 }

@@ -166,7 +166,7 @@ func (c *Cluster) announceLeave(ctx context.Context, view []MemberInfo) {
 		if m.URL == c.self || !m.State.inRing() {
 			continue
 		}
-		if sent >= c.cfg.GossipFanout {
+		if sent >= DefaultGossipFanout {
 			break
 		}
 		if _, _, err := c.call(ctx, http.MethodPost, m.URL, LeavePath, "application/json", body, maxMembershipBody); err != nil {

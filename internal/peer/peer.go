@@ -53,7 +53,9 @@ import (
 	"codepack/internal/trace"
 )
 
-// Defaults for Config zero values.
+// Defaults for Config zero values, and the fixed size of the async
+// write-replication stage: a full queue drops (replication is
+// best-effort — anti-entropy repairs the gaps).
 const (
 	DefaultFetchTimeout       = 2 * time.Second
 	DefaultBreakerThreshold   = 3
@@ -80,9 +82,6 @@ type Config struct {
 	// joined. It may also include Self.
 	Peers []string
 
-	// Replicas is the virtual-node count per member (0 = DefaultReplicas).
-	Replicas int
-
 	// ReplicationFactor is how many distinct members own each digest
 	// (successor-list placement on the ring). 0 or 1 keeps the classic
 	// single-owner behaviour; higher values replicate writes to every
@@ -102,12 +101,6 @@ type Config struct {
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 
-	// ReplicationQueue and ReplicationWorkers size the async
-	// write-replication stage; a full queue drops (replication is
-	// best-effort — anti-entropy repairs the gaps).
-	ReplicationQueue   int
-	ReplicationWorkers int
-
 	// OfferBatch caps the digests per anti-entropy offer request.
 	OfferBatch int
 
@@ -116,14 +109,9 @@ type Config struct {
 	HeartbeatInterval time.Duration
 	// SuspectAfter is how long a member may go unheard before it is
 	// suspected; DeadAfter before a suspect is declared dead and leaves
-	// the ring; ReapAfter before a dead/left tombstone is forgotten.
-	// Zero values pick the membership defaults.
+	// the ring. Zero values pick the membership defaults.
 	SuspectAfter time.Duration
 	DeadAfter    time.Duration
-	ReapAfter    time.Duration
-	// GossipFanout is how many live peers each heartbeat round
-	// exchanges views with (0 = DefaultGossipFanout).
-	GossipFanout int
 
 	// OnRingChange, when non-nil, runs after every ring rebuild with
 	// the new ring epoch and member list. It is called from membership
@@ -139,8 +127,6 @@ type Config struct {
 
 	// Logger receives peer-traffic warnings (nil = slog.Default()).
 	Logger *slog.Logger
-	// Transport overrides the HTTP transport (tests).
-	Transport http.RoundTripper
 
 	// Tracer, when non-nil, records spans for peer traffic: request-path
 	// fetches join the caller's trace via context, and background work
@@ -150,9 +136,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Replicas <= 0 {
-		c.Replicas = DefaultReplicas
-	}
 	if c.ReplicationFactor <= 0 {
 		c.ReplicationFactor = 1
 	}
@@ -165,20 +148,11 @@ func (c Config) withDefaults() Config {
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = DefaultBreakerCooldown
 	}
-	if c.ReplicationQueue <= 0 {
-		c.ReplicationQueue = DefaultReplicationQueue
-	}
-	if c.ReplicationWorkers <= 0 {
-		c.ReplicationWorkers = DefaultReplicationWorkers
-	}
 	if c.OfferBatch <= 0 {
 		c.OfferBatch = DefaultOfferBatch
 	}
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = DefaultHeartbeatInterval
-	}
-	if c.GossipFanout <= 0 {
-		c.GossipFanout = DefaultGossipFanout
 	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
@@ -311,7 +285,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	members := NewMembership(cfg.Self, MembershipConfig{
 		SuspectAfter: cfg.SuspectAfter,
 		DeadAfter:    cfg.DeadAfter,
-		ReapAfter:    cfg.ReapAfter,
 	})
 	for _, s := range seeds {
 		members.AddSeed(s)
@@ -321,16 +294,16 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		self:     cfg.Self,
 		seeds:    seeds,
 		members:  members,
-		client:   &http.Client{Transport: cfg.Transport},
+		client:   &http.Client{},
 		log:      cfg.Logger,
 		breakers: make(map[string]*breaker),
-		replCh:   make(chan replJob, cfg.ReplicationQueue),
+		replCh:   make(chan replJob, DefaultReplicationQueue),
 		stopCh:   make(chan struct{}),
 		memDone:  make(chan struct{}),
 	}
-	c.ring.Store(NewRing(members.Live(), cfg.Replicas))
-	c.replWG.Add(cfg.ReplicationWorkers)
-	for i := 0; i < cfg.ReplicationWorkers; i++ {
+	c.ring.Store(NewRing(members.Live()))
+	c.replWG.Add(DefaultReplicationWorkers)
+	for i := 0; i < DefaultReplicationWorkers; i++ {
 		go c.replWorker()
 	}
 	go c.membershipLoop()
@@ -450,7 +423,7 @@ func (c *Cluster) refreshRing() {
 		c.ringMu.Unlock()
 		return
 	}
-	c.ring.Store(NewRing(live, c.cfg.Replicas))
+	c.ring.Store(NewRing(live))
 	epoch := c.members.Version()
 	c.stats.ringChanges.Add(1)
 	c.ringMu.Unlock()
@@ -510,8 +483,8 @@ func (c *Cluster) heartbeatRound(ctx context.Context) {
 		}
 	}
 	rand.Shuffle(len(peers), func(i, j int) { peers[i], peers[j] = peers[j], peers[i] })
-	if len(peers) > c.cfg.GossipFanout {
-		peers = peers[:c.cfg.GossipFanout]
+	if len(peers) > DefaultGossipFanout {
+		peers = peers[:DefaultGossipFanout]
 	}
 	for _, p := range peers {
 		if _, err := c.exchange(ctx, p, HeartbeatPath); err != nil {

@@ -14,7 +14,7 @@ import (
 const DefaultReplicas = 128
 
 // Ring is a consistent-hash ring over a static member list. Every
-// member contributes `replicas` virtual points; a key is owned by the
+// member contributes DefaultReplicas virtual points; a key is owned by the
 // member whose point follows the key's hash clockwise. Adding or
 // removing one member therefore moves only the keys that member owned
 // (or now owns) — the rest of the fleet's warm entries stay put.
@@ -33,13 +33,9 @@ type ringPoint struct {
 
 // NewRing builds a ring over the given members (duplicates are
 // dropped; order does not matter — two instances configured with the
-// same member set agree on every owner). replicas <= 0 uses
-// DefaultReplicas. An empty member list yields a ring that owns
-// nothing.
-func NewRing(members []string, replicas int) *Ring {
-	if replicas <= 0 {
-		replicas = DefaultReplicas
-	}
+// same member set agree on every owner). An empty member list yields a
+// ring that owns nothing.
+func NewRing(members []string) *Ring {
 	seen := make(map[string]bool, len(members))
 	nodes := make([]string, 0, len(members))
 	for _, m := range members {
@@ -49,9 +45,9 @@ func NewRing(members []string, replicas int) *Ring {
 		}
 	}
 	sort.Strings(nodes)
-	r := &Ring{nodes: nodes, points: make([]ringPoint, 0, len(nodes)*replicas)}
+	r := &Ring{nodes: nodes, points: make([]ringPoint, 0, len(nodes)*DefaultReplicas)}
 	for ni, n := range nodes {
-		for i := 0; i < replicas; i++ {
+		for i := 0; i < DefaultReplicas; i++ {
 			r.points = append(r.points, ringPoint{ringHash(n + "#" + strconv.Itoa(i)), ni})
 		}
 	}

@@ -22,8 +22,8 @@ func testKeys(n int) []string {
 }
 
 func TestRingDeterministicAcrossMemberOrder(t *testing.T) {
-	a := NewRing([]string{"http://a:1", "http://b:1", "http://c:1"}, 0)
-	b := NewRing([]string{"http://c:1", "http://a:1", "http://b:1", "http://a:1"}, 0)
+	a := NewRing([]string{"http://a:1", "http://b:1", "http://c:1"})
+	b := NewRing([]string{"http://c:1", "http://a:1", "http://b:1", "http://a:1"})
 	for _, k := range testKeys(500) {
 		if a.Owner(k) != b.Owner(k) {
 			t.Fatalf("owner of %s disagrees across member orderings: %s vs %s",
@@ -36,10 +36,10 @@ func TestRingDeterministicAcrossMemberOrder(t *testing.T) {
 }
 
 func TestRingEmptyAndSingle(t *testing.T) {
-	if owner := NewRing(nil, 0).Owner("x"); owner != "" {
+	if owner := NewRing(nil).Owner("x"); owner != "" {
 		t.Errorf("empty ring owner = %q, want \"\"", owner)
 	}
-	r := NewRing([]string{"http://solo:1"}, 0)
+	r := NewRing([]string{"http://solo:1"})
 	for _, k := range testKeys(50) {
 		if r.Owner(k) != "http://solo:1" {
 			t.Fatal("single-member ring must own everything")
@@ -87,7 +87,7 @@ func TestRingOwnershipStability(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rb, ra := NewRing(tc.before, 0), NewRing(tc.after, 0)
+			rb, ra := NewRing(tc.before), NewRing(tc.after)
 			moved := 0
 			for _, k := range keys {
 				ob, oa := rb.Owner(k), ra.Owner(k)
@@ -126,7 +126,7 @@ func TestRingOwnersProperties(t *testing.T) {
 		for i := range members {
 			members[i] = fmt.Sprintf("http://m%d-%d:1", trial, i)
 		}
-		r := NewRing(members, 0)
+		r := NewRing(members)
 		for _, k := range testKeys(100) {
 			R := 1 + rng.Intn(n+2) // deliberately up to members+2
 			owners := r.Owners(k, R)
@@ -158,7 +158,7 @@ func TestRingOwnersProperties(t *testing.T) {
 // the successor walk already collected R distinct members.
 func TestRingOwnersStableUnderUnrelatedRemoval(t *testing.T) {
 	members := []string{"http://a:1", "http://b:1", "http://c:1", "http://d:1", "http://e:1"}
-	full := NewRing(members, 0)
+	full := NewRing(members)
 	const R = 2
 	for _, k := range testKeys(2000) {
 		owners := full.Owners(k, R)
@@ -176,7 +176,7 @@ func TestRingOwnersStableUnderUnrelatedRemoval(t *testing.T) {
 					survivors = append(survivors, m)
 				}
 			}
-			after := NewRing(survivors, 0).Owners(k, R)
+			after := NewRing(survivors).Owners(k, R)
 			if !slices.Equal(owners, after) {
 				t.Fatalf("removing non-owner %s changed Owners(%q, %d): %v -> %v",
 					victim, k, R, owners, after)
@@ -189,7 +189,7 @@ func TestRingOwnersStableUnderUnrelatedRemoval(t *testing.T) {
 // count, every member is an owner exactly once.
 func TestRingOwnersDegradesToAllMembers(t *testing.T) {
 	members := []string{"http://a:1", "http://b:1", "http://c:1"}
-	r := NewRing(members, 0)
+	r := NewRing(members)
 	for _, k := range testKeys(200) {
 		owners := r.Owners(k, 10)
 		if len(owners) != len(members) {
@@ -201,7 +201,7 @@ func TestRingOwnersDegradesToAllMembers(t *testing.T) {
 			t.Fatalf("Owners(%q, 10) = %v is not a permutation of the member set", k, owners)
 		}
 	}
-	if NewRing(nil, 0).Owners("x", 3) != nil {
+	if NewRing(nil).Owners("x", 3) != nil {
 		t.Error("empty ring must return no owners")
 	}
 }
@@ -210,7 +210,7 @@ func TestRingOwnersDegradesToAllMembers(t *testing.T) {
 // 4-member ring should own more than twice its fair share.
 func TestRingBalance(t *testing.T) {
 	members := []string{"http://a:1", "http://b:1", "http://c:1", "http://d:1"}
-	r := NewRing(members, 0)
+	r := NewRing(members)
 	counts := make(map[string]int)
 	keys := testKeys(8000)
 	for _, k := range keys {

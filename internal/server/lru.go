@@ -22,6 +22,12 @@ import (
 // verified set. Disk work runs outside the cache lock, so disk latency
 // never blocks readers; persist is the one place that takes the cache
 // lock while holding the store's.
+//
+// The cache alone owns the trust rules. It is the peer protocol's
+// Source, so every payload a peer pushes arrives through Accept as a
+// quarantined entry, and trusted is the one read that hands an entry to
+// a client: a quarantined entry only once it decompresses word for word
+// to the requested program. Only verified entries reach disk.
 type compCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -47,7 +53,7 @@ type compEntry struct {
 	// restored from the durable store. Entries replicated from peers
 	// arrive unverified (quarantined): they are served to peers — who
 	// verify for themselves — but a local request must prove the entry
-	// against its own program (confirm) before trusting it, and only
+	// against its own program (trusted) before trusting it, and only
 	// verified entries are ever persisted.
 	verified bool
 }
@@ -106,26 +112,10 @@ func (c *compCache) attachStore(st *diskStore, recovered []storedEntry, logger *
 	return restored
 }
 
-func (c *compCache) get(key string) (*codepack.Compressed, bool) {
-	comp, _, ok := c.getEntry(key)
-	return comp, ok
-}
-
-// getEntry is get plus the entry's verification state; callers holding
-// the program the digest names use it to prove quarantined replicas
-// before trusting them.
-func (c *compCache) getEntry(key string) (comp *codepack.Compressed, verified, ok bool) {
-	return c.lookup(key, true)
-}
-
-// recheck is getEntry without the miss accounting: the singleflight
-// leader re-probes the cache after acquiring the flight key, and that
-// probe must not count the same request's miss twice. A hit still
+// lookup returns key's entry and its verification state. countMiss
+// false is the singleflight leader's re-probe after acquiring the
+// flight key: that request's miss was already counted, but a hit still
 // counts (the fill was satisfied from memory after all).
-func (c *compCache) recheck(key string) (comp *codepack.Compressed, verified, ok bool) {
-	return c.lookup(key, false)
-}
-
 func (c *compCache) lookup(key string, countMiss bool) (comp *codepack.Compressed, verified, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -146,9 +136,67 @@ func (c *compCache) put(key string, comp *codepack.Compressed) {
 	c.insert(key, comp, true)
 }
 
-// putReplicated quarantines an entry pushed by a peer: resident and
-// servable to other peers, but unverified — never persisted and never
-// trusted by a local request until confirm proves it.
+// trusted returns the resident entry for key if it can be trusted for
+// im: verified entries directly, and quarantined replicas only after
+// proving they decompress to exactly im's text (the entry is then
+// confirmed and persisted; a failed proof drops it). countMiss is as
+// for lookup.
+func (c *compCache) trusted(key string, im *codepack.Image, countMiss bool) (*codepack.Compressed, bool) {
+	comp, verified, ok := c.lookup(key, countMiss)
+	if !ok {
+		return nil, false
+	}
+	if verified {
+		return comp, true
+	}
+	if compMatchesImage(comp, im) {
+		c.confirm(key, comp)
+		return comp, true
+	}
+	c.log.Warn("quarantined replica failed verification, dropping", "digest", key)
+	c.drop(key, comp)
+	return nil, false
+}
+
+// compMatchesImage reports whether comp decompresses word-for-word to
+// im's text section — the poisoning-proof check applied to every byte
+// that did not come from a local compression or the verified store.
+// The decode runs through the pooled buffers: verification output is
+// dead as soon as the comparison finishes, so the fill path never pays
+// a text-sized allocation per peer payload.
+func compMatchesImage(comp *codepack.Compressed, im *codepack.Image) bool {
+	if comp.TextBase != im.TextBase {
+		return false
+	}
+	bp := getDecodeBuf()
+	defer putDecodeBuf(bp)
+	text, err := comp.AppendDecompress((*bp)[:0])
+	if text != nil {
+		*bp = text
+	}
+	if err != nil || len(text) != len(im.Text) {
+		return false
+	}
+	for i, w := range text {
+		if w != im.Text[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// Accept quarantines a payload replicated from a peer (peer.Source): it
+// must parse as a compressed program now, and stays unverified — never
+// persisted, and never served to a client until trusted proves it.
+func (c *compCache) Accept(key string, payload []byte) error {
+	comp, err := codepack.UnmarshalCompressed("replicated", payload)
+	if err != nil {
+		return err
+	}
+	c.putReplicated(key, comp)
+	return nil
+}
+
 func (c *compCache) putReplicated(key string, comp *codepack.Compressed) {
 	c.insert(key, comp, false)
 }
@@ -262,11 +310,12 @@ func (c *compCache) putMem(key string, comp *codepack.Compressed, verified bool)
 	return verified, evicted
 }
 
-// payload returns the marshalled bytes cached under key for the peer
-// protocol — quarantined entries included, since the requesting peer
-// verifies payloads against its own program. It refreshes recency but
-// does not count toward hit/miss rates (peer traffic would skew them).
-func (c *compCache) payload(key string) ([]byte, bool) {
+// Payload returns the marshalled bytes cached under key for the peer
+// protocol (peer.Source) — quarantined entries included, since the
+// requesting peer verifies payloads against its own program. It
+// refreshes recency but does not count toward hit/miss rates (peer
+// traffic would skew them).
+func (c *compCache) Payload(key string) ([]byte, bool) {
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	var comp *codepack.Compressed
@@ -283,12 +332,19 @@ func (c *compCache) payload(key string) ([]byte, bool) {
 	return comp.Marshal(), true
 }
 
-// has reports residency with no side effects (anti-entropy offers).
-func (c *compCache) has(key string) bool {
+// Missing filters keys down to those not resident, quarantined entries
+// counting as resident: the subset an anti-entropy offer asks to have
+// pushed (peer.Source).
+func (c *compCache) Missing(keys []string) []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.entries[key]
-	return ok
+	var out []string
+	for _, k := range keys {
+		if _, ok := c.entries[k]; !ok {
+			out = append(out, k)
+		}
+	}
+	return out
 }
 
 // keys snapshots the resident digests (the startup anti-entropy pass).

@@ -24,12 +24,12 @@ func makeComp(t *testing.T, seed uint32) *codepack.Compressed {
 
 func TestCompCacheHitMiss(t *testing.T) {
 	c := newCompCache(4)
-	if _, ok := c.get("a"); ok {
+	if _, _, ok := c.lookup("a", true); ok {
 		t.Fatal("hit on empty cache")
 	}
 	comp := makeComp(t, 1)
 	c.put("a", comp)
-	got, ok := c.get("a")
+	got, _, ok := c.lookup("a", true)
 	if !ok || got != comp {
 		t.Fatal("put entry not returned")
 	}
@@ -46,15 +46,15 @@ func TestCompCacheEvictsLRU(t *testing.T) {
 	c := newCompCache(2)
 	c.put("a", makeComp(t, 1))
 	c.put("b", makeComp(t, 2))
-	c.get("a") // a is now most recently used
+	c.lookup("a", true) // a is now most recently used
 	c.put("c", makeComp(t, 3))
-	if _, ok := c.get("b"); ok {
+	if _, _, ok := c.lookup("b", true); ok {
 		t.Error("b should have been evicted as LRU")
 	}
-	if _, ok := c.get("a"); !ok {
+	if _, _, ok := c.lookup("a", true); !ok {
 		t.Error("a (recently used) was evicted")
 	}
-	if _, ok := c.get("c"); !ok {
+	if _, _, ok := c.lookup("c", true); !ok {
 		t.Error("c (just inserted) missing")
 	}
 	if s := c.stats(); s.Evictions != 1 || s.Entries != 2 {
@@ -65,7 +65,7 @@ func TestCompCacheEvictsLRU(t *testing.T) {
 func TestCompCacheDisabled(t *testing.T) {
 	c := newCompCache(-1)
 	c.put("a", makeComp(t, 1))
-	if _, ok := c.get("a"); ok {
+	if _, _, ok := c.lookup("a", true); ok {
 		t.Fatal("disabled cache returned a hit")
 	}
 	if s := c.stats(); s.Entries != 0 || s.Bytes != 0 {
@@ -85,7 +85,7 @@ func TestVerifiedPutReplacesQuarantined(t *testing.T) {
 	bad, good := makeComp(t, 1), makeComp(t, 2)
 	c.putReplicated(key, bad)
 	c.put(key, good)
-	comp, verified, ok := c.getEntry(key)
+	comp, verified, ok := c.lookup(key, true)
 	if !ok || comp != good || !verified {
 		t.Fatalf("after a verified put over a replica: good=%v verified=%v ok=%v", comp == good, verified, ok)
 	}
@@ -111,11 +111,11 @@ func TestConfirmDropActOnProvenPayload(t *testing.T) {
 	c := newCompCache(1)
 	proven, unproven := makeComp(t, 1), makeComp(t, 2)
 	c.putReplicated(key, proven)
-	read, _, _ := c.getEntry(key)
+	read, _, _ := c.lookup(key, true)
 	c.put(other, makeComp(t, 3))   // evicts key
 	c.putReplicated(key, unproven) // evicts other
 	c.confirm(key, read)
-	if comp, verified, _ := c.getEntry(key); comp != unproven || verified {
+	if comp, verified, _ := c.lookup(key, true); comp != unproven || verified {
 		t.Errorf("confirm of a replaced replica verified the newcomer (newcomer=%v verified=%v)", comp == unproven, verified)
 	}
 
@@ -124,11 +124,11 @@ func TestConfirmDropActOnProvenPayload(t *testing.T) {
 	c = newCompCache(1)
 	bad, good := makeComp(t, 4), makeComp(t, 5)
 	c.putReplicated(key, bad)
-	read, _, _ = c.getEntry(key)
+	read, _, _ = c.lookup(key, true)
 	c.put(other, makeComp(t, 6)) // evicts key
 	c.put(key, good)             // evicts other
 	c.drop(key, read)
-	if comp, verified, ok := c.getEntry(key); !ok || comp != good || !verified {
+	if comp, verified, ok := c.lookup(key, true); !ok || comp != good || !verified {
 		t.Errorf("drop of a failed replica removed the verified entry that replaced it (ok=%v)", ok)
 	}
 }

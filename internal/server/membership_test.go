@@ -46,7 +46,7 @@ func TestPeerAntiEntropyOnRingChange(t *testing.T) {
 
 	// An entry whose owner in the *two-member* ring is B, compressed on A
 	// while A is alone — owned locally for now, no replication happens.
-	full := peer.NewRing([]string{urlA, urlB}, peer.DefaultReplicas)
+	full := peer.NewRing([]string{urlA, urlB})
 	im := imageOwnedBy(t, full, urlB)
 	if resp := compressImageOn(t, urlA, im); resp.Cached {
 		t.Fatal("first compression reported cached")
@@ -111,7 +111,7 @@ func TestPeerGracefulLeaveHandsOff(t *testing.T) {
 	})
 
 	// Compressed on its owner A: stays local, never replicated to B.
-	full := peer.NewRing([]string{urlA, urlB}, peer.DefaultReplicas)
+	full := peer.NewRing([]string{urlA, urlB})
 	im := imageOwnedBy(t, full, urlA)
 	digest := codepack.ImageDigest(im)
 	if resp := compressImageOn(t, urlA, im); resp.Cached {
@@ -126,7 +126,7 @@ func TestPeerGracefulLeaveHandsOff(t *testing.T) {
 	sa.Close()
 	tsA.Close()
 
-	if _, ok := sb.cache.payload(digest); !ok {
+	if _, ok := sb.cache.Payload(digest); !ok {
 		t.Fatal("departing member did not hand its entry to the survivor")
 	}
 	waitFor(t, func() bool { return len(sb.cluster.Members()) == 1 })

@@ -122,7 +122,7 @@ func compressImageOn(t *testing.T, url string, im *codepack.Image) CompressRespo
 // peer hit with zero recompression.
 func TestPeerWarmTierHit(t *testing.T) {
 	_, _, urlA, urlB := startPair(t, Config{}, Config{})
-	ring := peer.NewRing([]string{urlA, urlB}, peer.DefaultReplicas)
+	ring := peer.NewRing([]string{urlA, urlB})
 	im := imageOwnedBy(t, ring, urlA)
 
 	first := compressImageOn(t, urlA, im)
@@ -146,7 +146,7 @@ func TestPeerWarmTierHit(t *testing.T) {
 // served locally (verified at use) without a peer fetch.
 func TestPeerReplication(t *testing.T) {
 	_, sb, urlA, urlB := startPair(t, Config{}, Config{})
-	ring := peer.NewRing([]string{urlA, urlB}, peer.DefaultReplicas)
+	ring := peer.NewRing([]string{urlA, urlB})
 	im := imageOwnedBy(t, ring, urlB) // owned by B, compressed on A
 
 	if resp := compressImageOn(t, urlA, im); resp.Cached {
@@ -187,7 +187,7 @@ func TestPeerDownDegrades(t *testing.T) {
 
 	// Several distinct misses owned by the dead member: enough to trip
 	// the two-failure breaker, with every request still succeeding.
-	ring := peer.NewRing([]string{urlDead, urlB}, peer.DefaultReplicas)
+	ring := peer.NewRing([]string{urlDead, urlB})
 	seen := 0
 	for i := 0; seen < 4 && i < 10_000; i++ {
 		im, err := codepack.Assemble(fmt.Sprintf("down%d", i),
@@ -249,7 +249,7 @@ func TestPeerPoisonRejected(t *testing.T) {
 	}
 	startOn(t, sb, lnB)
 
-	ring := peer.NewRing([]string{evil.URL, urlB}, peer.DefaultReplicas)
+	ring := peer.NewRing([]string{evil.URL, urlB})
 	im := imageOwnedBy(t, ring, evil.URL)
 	resp := compressImageOn(t, urlB, im)
 	if resp.Cached {
@@ -281,7 +281,7 @@ func TestPeerPoisonRejected(t *testing.T) {
 // moment a request proves it false — it is never served.
 func TestPeerQuarantineVerifyAtUse(t *testing.T) {
 	_, sb, urlA, urlB := startPair(t, Config{}, Config{})
-	ring := peer.NewRing([]string{urlA, urlB}, peer.DefaultReplicas)
+	ring := peer.NewRing([]string{urlA, urlB})
 	im := imageOwnedBy(t, ring, urlB)
 	digest := codepack.ImageDigest(im)
 
@@ -342,7 +342,7 @@ func TestPeerAntiEntropy(t *testing.T) {
 	dir := t.TempDir()
 	lnA, urlA := reserveURL(t)
 	lnB, urlB := reserveURL(t)
-	ring := peer.NewRing([]string{urlA, urlB}, peer.DefaultReplicas)
+	ring := peer.NewRing([]string{urlA, urlB})
 	im := imageOwnedBy(t, ring, urlB)
 
 	// First life: A standalone with a durable cache; the entry lands on
@@ -497,7 +497,7 @@ func TestPeerReplicaFallthroughOnBreakerOpen(t *testing.T) {
 	}
 	startOn(t, sb, lnB)
 
-	ring := peer.NewRing([]string{urlDead, urlA, urlB}, peer.DefaultReplicas)
+	ring := peer.NewRing([]string{urlDead, urlA, urlB})
 	im1 := imageWithOwners(t, ring, "ft-a", 0, urlDead, urlA)
 	im2 := imageWithOwners(t, ring, "ft-b", 5_000, urlDead, urlA)
 

@@ -122,7 +122,7 @@ func TestPersistedCacheRespectsCapacity(t *testing.T) {
 	}
 	// The two oldest entries are the evicted ones.
 	for _, k := range keys[:2] {
-		if _, ok := c.get(k); ok {
+		if _, _, ok := c.lookup(k, true); ok {
 			t.Errorf("oldest key %s survived past capacity", k)
 		}
 		if _, err := os.Stat(filepath.Join(dir, k)); !os.IsNotExist(err) {
@@ -130,7 +130,7 @@ func TestPersistedCacheRespectsCapacity(t *testing.T) {
 		}
 	}
 	for _, k := range keys[2:] {
-		if _, ok := c.get(k); !ok {
+		if _, _, ok := c.lookup(k, true); !ok {
 			t.Errorf("recent key %s missing after restore", k)
 		}
 	}
@@ -214,11 +214,11 @@ func TestCompCacheStressRace(t *testing.T) {
 				case 1:
 					c.putReplicated(e.key, e.comp)
 				case 2:
-					if comp, verified, ok := c.getEntry(e.key); ok && !verified {
+					if comp, verified, ok := c.lookup(e.key, true); ok && !verified {
 						c.confirm(e.key, comp)
 					}
 				case 3:
-					c.get(e.key)
+					c.lookup(e.key, true)
 				default:
 					c.stats()
 				}

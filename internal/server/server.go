@@ -58,7 +58,7 @@ import (
 	"codepack/internal/trace"
 )
 
-// Defaults for Config zero values.
+// Defaults for Config zero values, and the request body cap.
 const (
 	DefaultCacheEntries   = 256
 	DefaultMaxInstr       = 8_000_000
@@ -92,9 +92,6 @@ type Config struct {
 	// MaxInstr caps the committed-instruction budget a simulate request
 	// may ask for (0 = DefaultMaxInstr).
 	MaxInstr uint64
-
-	// MaxBodyBytes caps request bodies (0 = DefaultMaxBodyBytes).
-	MaxBodyBytes int64
 
 	// RequestTimeout bounds a request end to end, queue time included
 	// (0 = DefaultRequestTimeout, negative disables).
@@ -168,9 +165,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxInstr == 0 {
 		c.MaxInstr = DefaultMaxInstr
 	}
-	if c.MaxBodyBytes == 0 {
-		c.MaxBodyBytes = DefaultMaxBodyBytes
-	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = DefaultRequestTimeout
 	}
@@ -221,6 +215,7 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	cache := newCompCache(cfg.CacheEntries)
+	cache.log = cfg.Logger
 	if cfg.CacheDir != "" && cfg.CacheEntries > 0 {
 		st, recovered, err := openStore(cfg.CacheDir, cfg.Logger)
 		if err != nil {
@@ -332,7 +327,7 @@ func (s *Server) joinCluster(pc peer.Config) error {
 		return err
 	}
 	s.cluster = cluster
-	h := peer.NewHandler(peerSource{s}, s.log)
+	h := peer.NewHandler(s.cache, s.log)
 	s.mux.Handle("GET "+peer.CachePathPrefix+"{digest}", s.instrumentInternal("peer_get", h.Get))
 	s.mux.Handle("PUT "+peer.CachePathPrefix+"{digest}", s.instrumentInternal("peer_put", h.Put))
 	s.mux.Handle("POST "+peer.OfferPath, s.instrumentInternal("peer_offer", h.Offer))
@@ -374,9 +369,7 @@ func (s *Server) antiEntropyLoop(ctx context.Context, trigger <-chan uint64) {
 				trace.Int("digests", len(digests)))
 			root.SetAttr("epoch", epoch)
 		}
-		s.cluster.AntiEntropy(actx, digests, func(d string) ([]byte, bool) {
-			return s.cache.payload(d)
-		})
+		s.cluster.AntiEntropy(actx, digests, s.cache.Payload)
 		root.End()
 		s.metrics.aePasses.add(1)
 		st := s.cluster.Stats()
@@ -399,35 +392,6 @@ func (s *Server) antiEntropyLoop(ctx context.Context, trigger <-chan uint64) {
 	}
 }
 
-// peerSource adapts the compression cache to the peer protocol.
-type peerSource struct{ s *Server }
-
-func (ps peerSource) Payload(digest string) ([]byte, bool) {
-	return ps.s.cache.payload(digest)
-}
-
-// Accept quarantines a replicated payload: it must parse as a
-// compressed program now, and a local request must verify it against
-// the actual program before it is ever served to a client.
-func (ps peerSource) Accept(digest string, payload []byte) error {
-	comp, err := codepack.UnmarshalCompressed("replicated", payload)
-	if err != nil {
-		return err
-	}
-	ps.s.cache.putReplicated(digest, comp)
-	return nil
-}
-
-func (ps peerSource) Missing(digests []string) []string {
-	var out []string
-	for _, d := range digests {
-		if !ps.s.cache.has(d) {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // Handler returns the root handler for the service.
 func (s *Server) Handler() http.Handler { return s.mux }
 
@@ -442,9 +406,7 @@ func (s *Server) Close() {
 		// answer: hand every locally held digest to its post-departure
 		// owner and announce the leave, so warm state survives the exit.
 		lctx, lcancel := context.WithTimeout(context.Background(), DefaultRequestTimeout)
-		s.cluster.Leave(lctx, s.cache.keys(), func(d string) ([]byte, bool) {
-			return s.cache.payload(d)
-		})
+		s.cluster.Leave(lctx, s.cache.keys(), s.cache.Payload)
 		lcancel()
 	}
 	if s.peerCancel != nil {
@@ -671,7 +633,7 @@ func (s *Server) instrumented(name string, internal bool, h http.HandlerFunc) ht
 			ctx, root = s.tracer.StartTrace(ctx, reqID, remoteParent, name, "handler",
 				trace.String("endpoint", name))
 		}
-		body := &countReader{r: http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)}
+		body := &countReader{r: http.MaxBytesReader(w, r.Body, DefaultMaxBodyBytes)}
 		r = r.WithContext(ctx)
 		r.Body = body
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
@@ -891,7 +853,7 @@ func (s *Server) resolveImage(ctx context.Context, ref ProgramRef) (*codepack.Im
 func (s *Server) compressImage(ctx context.Context, im *codepack.Image) (comp *codepack.Compressed, digest string, cached bool, herr *httpError) {
 	digest = codepack.Digest(im.Marshal())
 	_, ls := trace.Start(ctx, "cache-lookup", trace.String("digest", digest[:12]))
-	c, ok := s.cachedVerified(digest, im, false)
+	c, ok := s.cache.trusted(digest, im, true)
 	if ok {
 		ls.SetAttr("outcome", "hit")
 		ls.End()
@@ -922,7 +884,7 @@ func (s *Server) fillMiss(ctx context.Context, digest string, im *codepack.Image
 	// The probe skips miss accounting — this request's miss was already
 	// counted on the way in.
 	_, rcs := trace.Start(ctx, "cache-recheck")
-	c, ok := s.cachedVerified(digest, im, true)
+	c, ok := s.cache.trusted(digest, im, false)
 	if ok {
 		rcs.SetAttr("outcome", "hit")
 	} else {
@@ -969,59 +931,6 @@ func (s *Server) fillMiss(ctx context.Context, digest string, im *codepack.Image
 		s.cluster.Replicate(ctx, digest, comp.Marshal())
 	}
 	return comp, false, nil
-}
-
-// cachedVerified returns the resident entry for digest if it can be
-// trusted for im: verified entries directly, and quarantined replicas
-// only after proving they decompress to exactly im's text (the entry is
-// then confirmed and persisted; a failed proof drops it). isRecheck
-// suppresses duplicate miss accounting for the singleflight re-probe.
-func (s *Server) cachedVerified(digest string, im *codepack.Image, isRecheck bool) (*codepack.Compressed, bool) {
-	lookup := s.cache.getEntry
-	if isRecheck {
-		lookup = s.cache.recheck
-	}
-	comp, verified, ok := lookup(digest)
-	if !ok {
-		return nil, false
-	}
-	if verified {
-		return comp, true
-	}
-	if compMatchesImage(comp, im) {
-		s.cache.confirm(digest, comp)
-		return comp, true
-	}
-	s.log.Warn("quarantined replica failed verification, dropping", "digest", digest)
-	s.cache.drop(digest, comp)
-	return nil, false
-}
-
-// compMatchesImage reports whether comp decompresses word-for-word to
-// im's text section — the poisoning-proof check applied to every byte
-// that did not come from a local compression or the verified store.
-// The decode runs through the pooled buffers: verification output is
-// dead as soon as the comparison finishes, so the fill path never pays
-// a text-sized allocation per peer payload.
-func compMatchesImage(comp *codepack.Compressed, im *codepack.Image) bool {
-	if comp.TextBase != im.TextBase {
-		return false
-	}
-	bp := getDecodeBuf()
-	defer putDecodeBuf(bp)
-	text, err := comp.AppendDecompress((*bp)[:0])
-	if text != nil {
-		*bp = text
-	}
-	if err != nil || len(text) != len(im.Text) {
-		return false
-	}
-	for i, w := range text {
-		if w != im.Text[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // --- endpoint handlers ---------------------------------------------------
@@ -1115,26 +1024,8 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, &httpError{code: http.StatusInternalServerError, msg: fmt.Sprintf("reload: %v", err)}
 		}
-		// The round-trip text is compared and discarded, so decode it
-		// into a pooled buffer.
-		bp := getDecodeBuf()
-		defer putDecodeBuf(bp)
-		out, err := reloaded.AppendDecompress((*bp)[:0])
-		if out != nil {
-			*bp = out
-		}
-		if err != nil {
-			return nil, &httpError{code: http.StatusInternalServerError, msg: fmt.Sprintf("decompress: %v", err)}
-		}
-		if len(out) != len(im.Text) {
-			return nil, &httpError{code: http.StatusInternalServerError,
-				msg: fmt.Sprintf("round trip length mismatch: got %d want %d", len(out), len(im.Text))}
-		}
-		for i, word := range out {
-			if word != im.Text[i] {
-				return nil, &httpError{code: http.StatusInternalServerError,
-					msg: fmt.Sprintf("round trip mismatch at instruction %d", i)}
-			}
+		if !compMatchesImage(reloaded, im) {
+			return nil, &httpError{code: http.StatusInternalServerError, msg: "round trip mismatch"}
 		}
 		return VerifyResponse{
 			OK:           true,

@@ -1,4 +1,4 @@
-package sim
+package server
 
 import (
 	"fmt"
@@ -8,24 +8,18 @@ import (
 	"time"
 )
 
-// The three pinned fault schedules below (partition, crash/restart,
-// duplication) are the acceptance gate run by `make sim-smoke` under
-// -race: after each schedule the cluster must converge to one ring view
-// and serve every previously compressed digest warm — zero
-// recompressions — with the verification invariants intact.
+// The pinned fault schedules below (partition, crash/restart,
+// duplication, join, impostors, the R=2 set, the quarantine race and
+// the determinism guards) run the cluster simulator (simworld_test.go)
+// and are the acceptance gate of `make sim-smoke` under -race: after
+// each schedule the cluster must converge to one ring view and serve
+// every previously compressed digest warm — zero recompressions — with
+// the verification invariants intact.
 
 func nodeNames(n int) []string {
 	out := make([]string, n)
 	for i := range out {
 		out[i] = fmt.Sprintf("http://n%d:1", i)
-	}
-	return out
-}
-
-func digests(tag string, n int) []string {
-	out := make([]string, n)
-	for i := range out {
-		out[i] = fmt.Sprintf("%s-%03d", tag, i)
 	}
 	return out
 }
@@ -56,14 +50,14 @@ func settleAndCheck(t *testing.T, w *World) {
 // either side — before or during the partition — is served warm.
 func TestSimPartitionConverges(t *testing.T) {
 	nodes := nodeNames(5)
-	w := New(1, Config{Nodes: nodes, DropProb: 0.05})
+	w := newWorld(t, 1, simConfig{Nodes: nodes, DropProb: 0.05})
 	w.Boot()
 	w.Run(8 * time.Second)
 	if !w.Converged() {
 		t.Fatal("cluster did not form before the fault schedule")
 	}
 
-	for i, d := range digests("pre", 12) {
+	for i, d := range w.digests("pre", 12) {
 		w.Compress(nodes[i%len(nodes)], d)
 	}
 	w.Run(2 * time.Second)
@@ -81,10 +75,10 @@ func TestSimPartitionConverges(t *testing.T) {
 		}
 	}
 	// Both islands keep taking writes against their shrunken rings.
-	for i, d := range digests("minority", 6) {
+	for i, d := range w.digests("minority", 6) {
 		w.Compress(nodes[i%2], d)
 	}
-	for i, d := range digests("majority", 6) {
+	for i, d := range w.digests("majority", 6) {
 		w.Compress(nodes[2+i%3], d)
 	}
 	w.Run(2 * time.Second)
@@ -118,11 +112,11 @@ func TestSimPartitionConverges(t *testing.T) {
 // its tombstone; durable entries survive both, nothing is recompressed.
 func TestSimCrashRestartConverges(t *testing.T) {
 	nodes := nodeNames(4)
-	w := New(2, Config{Nodes: nodes, DropProb: 0.05})
+	w := newWorld(t, 2, simConfig{Nodes: nodes, DropProb: 0.05})
 	w.Boot()
 	w.Run(8 * time.Second)
 
-	for i, d := range digests("seed", 10) {
+	for i, d := range w.digests("seed", 10) {
 		w.Compress(nodes[i%len(nodes)], d)
 	}
 	w.Run(2 * time.Second)
@@ -142,7 +136,7 @@ func TestSimCrashRestartConverges(t *testing.T) {
 			t.Errorf("%s still sees %v after the dead timeout", url, got)
 		}
 	}
-	for i, d := range digests("while-down", 6) {
+	for i, d := range w.digests("while-down", 6) {
 		w.Compress(nodes[[3]int{0, 1, 3}[i%3]], d)
 	}
 	w.Run(2 * time.Second)
@@ -156,11 +150,11 @@ func TestSimCrashRestartConverges(t *testing.T) {
 // idempotent for the ring to stay consistent.
 func TestSimDuplicationConverges(t *testing.T) {
 	nodes := nodeNames(4)
-	w := New(3, Config{Nodes: nodes, DropProb: 0.15, DupProb: 0.4})
+	w := newWorld(t, 3, simConfig{Nodes: nodes, DropProb: 0.15, DupProb: 0.4})
 	w.Boot()
 	w.Run(10 * time.Second)
 	for round := 0; round < 4; round++ {
-		for i, d := range digests(fmt.Sprintf("dup%d", round), 5) {
+		for i, d := range w.digests(fmt.Sprintf("dup%d", round), 5) {
 			w.Compress(nodes[(round+i)%len(nodes)], d)
 		}
 		w.Run(3 * time.Second)
@@ -176,7 +170,7 @@ func TestSimDuplicationConverges(t *testing.T) {
 // serves previously compressed digests warm.
 func TestSimDynamicJoin(t *testing.T) {
 	nodes := nodeNames(3)
-	w := New(4, Config{
+	w := newWorld(t, 4, simConfig{
 		Nodes: nodes,
 		Seeds: map[string][]string{
 			nodes[0]: {nodes[1]},
@@ -187,7 +181,7 @@ func TestSimDynamicJoin(t *testing.T) {
 	w.nodes[nodes[0]].start()
 	w.nodes[nodes[1]].start()
 	w.Run(5 * time.Second)
-	for i, d := range digests("two", 10) {
+	for i, d := range w.digests("two", 10) {
 		w.Compress(nodes[i%2], d)
 	}
 	w.Run(2 * time.Second)
@@ -205,11 +199,11 @@ func TestSimDynamicJoin(t *testing.T) {
 // a full warm check.
 func TestSimImpostorNeverServesUnverified(t *testing.T) {
 	nodes := nodeNames(3)
-	w := New(5, Config{Nodes: nodes})
+	w := newWorld(t, 5, simConfig{Nodes: nodes})
 	w.Boot()
 	w.Run(6 * time.Second)
 
-	ds := digests("imp", 8)
+	ds := w.digests("imp", 8)
 	for i, d := range ds {
 		// Poison every node first, then compress for real somewhere.
 		for _, url := range nodes {
@@ -238,14 +232,14 @@ func TestSimImpostorNeverServesUnverified(t *testing.T) {
 // after the ring rebalances.
 func TestSimReplicatedCrashZeroRecompressions(t *testing.T) {
 	nodes := nodeNames(5)
-	w := New(7, Config{Nodes: nodes, ReplicationFactor: 2})
+	w := newWorld(t, 7, simConfig{Nodes: nodes, ReplicationFactor: 2})
 	w.Boot()
 	w.Run(8 * time.Second)
 	if !w.Converged() {
 		t.Fatal("cluster did not form before the fault schedule")
 	}
 
-	ds := digests("r2", 12)
+	ds := w.digests("r2", 12)
 	for i, d := range ds {
 		w.Compress(nodes[i%len(nodes)], d)
 	}
@@ -306,13 +300,13 @@ func TestSimReplicatedCrashZeroRecompressions(t *testing.T) {
 // replication.
 func TestSimReplicatedPartitionBoundedStaleness(t *testing.T) {
 	nodes := nodeNames(5)
-	w := New(8, Config{Nodes: nodes, ReplicationFactor: 2})
+	w := newWorld(t, 8, simConfig{Nodes: nodes, ReplicationFactor: 2})
 	w.Boot()
 	w.Run(8 * time.Second)
 	if !w.Converged() {
 		t.Fatal("cluster did not form before the fault schedule")
 	}
-	ds := digests("ps", 12)
+	ds := w.digests("ps", 12)
 	for i, d := range ds {
 		w.Compress(nodes[i%len(nodes)], d)
 	}
@@ -357,7 +351,7 @@ func TestSimReplicatedPartitionBoundedStaleness(t *testing.T) {
 	before = w.Stats().Recompressions
 	want := 0
 	for _, d := range without {
-		if _, held := w.nodes[nodes[3]].cache[d]; !held {
+		if !w.nodes[nodes[3]].holds(d) {
 			want++ // both replicas across the cut and no local copy: one recompression
 		}
 		w.Compress(nodes[3], d)
@@ -369,10 +363,10 @@ func TestSimReplicatedPartitionBoundedStaleness(t *testing.T) {
 	// Both shrunken islands keep taking writes, then the heal restores
 	// one ring with full replication.
 	w.Run(15 * time.Second)
-	for i, d := range digests("ps-min", 4) {
+	for i, d := range w.digests("ps-min", 4) {
 		w.Compress(nodes[i%2], d)
 	}
-	for i, d := range digests("ps-maj", 4) {
+	for i, d := range w.digests("ps-maj", 4) {
 		w.Compress(nodes[2+i%3], d)
 	}
 	w.Run(2 * time.Second)
@@ -388,10 +382,10 @@ func TestSimReplicatedPartitionBoundedStaleness(t *testing.T) {
 func TestSimEventLogDeterminism(t *testing.T) {
 	run := func() string {
 		nodes := nodeNames(4)
-		w := New(11, Config{Nodes: nodes, ReplicationFactor: 2, DropProb: 0.1, DupProb: 0.2})
+		w := newWorld(t, 11, simConfig{Nodes: nodes, ReplicationFactor: 2, DropProb: 0.1, DupProb: 0.2})
 		w.Boot()
 		w.Run(6 * time.Second)
-		for i, d := range digests("log", 8) {
+		for i, d := range w.digests("log", 8) {
 			w.Compress(nodes[i%len(nodes)], d)
 		}
 		w.Partition(nodes[:1], nodes[1:])
@@ -421,12 +415,12 @@ func TestSimEventLogDeterminism(t *testing.T) {
 // TestSimDeterminism: the same seed replays the same world — stats and
 // final views are bit-identical, so any failing schedule is a repro.
 func TestSimDeterminism(t *testing.T) {
-	run := func() (Stats, [][]string) {
+	run := func() (simStats, [][]string) {
 		nodes := nodeNames(4)
-		w := New(42, Config{Nodes: nodes, DropProb: 0.2, DupProb: 0.2})
+		w := newWorld(t, 42, simConfig{Nodes: nodes, DropProb: 0.2, DupProb: 0.2})
 		w.Boot()
 		w.Run(5 * time.Second)
-		for i, d := range digests("det", 8) {
+		for i, d := range w.digests("det", 8) {
 			w.Compress(nodes[i%len(nodes)], d)
 		}
 		w.Partition(nodes[:1], nodes[1:])
@@ -450,5 +444,53 @@ func TestSimDeterminism(t *testing.T) {
 	}
 	if !reflect.DeepEqual(v1, v2) {
 		t.Errorf("final views diverged across identical seeds:\n%v\n%v", v1, v2)
+	}
+}
+
+// TestSimQuarantineRace: impostor payloads land at random offsets inside
+// client requests — between a node's lookup and its put — at the
+// requesting node and at a random one, and one node crashes inside a
+// request and restarts a few requests later. Whatever the interleaving,
+// no client is ever served a wrong or unverified payload, before or
+// after the cluster settles: a put over a quarantined impostor installs
+// its own proven payload, and a quarantined impostor never comes back
+// from disk as verified.
+func TestSimQuarantineRace(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			nodes := nodeNames(4)
+			w := newWorld(t, seed, simConfig{Nodes: nodes, ReplicationFactor: 2})
+			w.Boot()
+			w.Run(6 * time.Second)
+			victim := nodes[w.rng.Intn(len(nodes))]
+			inside := func() time.Duration { return time.Duration(w.rng.Int63n(int64(4 * simMaxDelay))) }
+			ds := w.digests("race", 16)
+			for i, d := range ds {
+				url := nodes[i%len(nodes)]
+				for _, target := range []string{url, nodes[w.rng.Intn(len(nodes))]} {
+					w.schedule(inside(), func() { w.InjectCorrupt(target, d) })
+				}
+				switch i {
+				case len(ds) / 2:
+					w.schedule(inside(), func() { w.Crash(victim) })
+				case 3 * len(ds) / 4:
+					w.schedule(inside(), func() { w.Restart(victim) })
+				}
+				w.Compress(url, d)
+			}
+			w.Run(2 * time.Second)
+			if !w.nodes[victim].up {
+				w.Restart(victim)
+			}
+			if err := w.Settle(120); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.CheckWarm(); err != nil {
+				t.Fatal(err)
+			}
+			if st := w.Stats(); st.UnverifiedServed != 0 || st.WrongServed != 0 {
+				t.Errorf("quarantine race violated verification invariants: %+v", st)
+			}
+		})
 	}
 }

@@ -1,10 +1,16 @@
-// Package sim is a deterministic cluster simulator for the dynamic
-// membership layer in internal/peer. It drives the real exported state
-// machine — peer.Membership on an injectable virtual clock, peer.Ring
-// over the live view — under an in-memory message transport with
-// injectable fault schedules: probabilistic drop, delay and duplication
-// of every gossip round trip, named network partitions, node crashes
-// and (durable-store) restarts, and impostor payload injection.
+package server
+
+// The cluster simulator runs whole cpackd clusters in virtual time
+// against the warm tier's promises. Every node runs the shipping code:
+// peer.Membership on the world's virtual clock, peer.Ring over its live
+// view, and a compCache over its own entry-file directory, so every
+// serve, put, quarantine, restore and verification is the server's own
+// (trusted, Accept, Payload, Missing, put, compMatchesImage). The
+// transport is in memory, with injectable faults: probabilistic drop,
+// delay and duplication of every message, named partitions, crashes
+// (the cache is dropped; only its entry files survive), restarts (which
+// reopen those files) and impostor payloads — another program's
+// well-formed payload pushed through the shipping Accept.
 //
 // Everything runs on one goroutine inside a virtual-time event loop
 // seeded from a single PRNG: the same seed always yields the same
@@ -20,7 +26,6 @@
 //     is served warm post-convergence (zero recompressions);
 //   - no unverified or wrong payload is ever served to a client, no
 //     matter what impostors pushed.
-package sim
 
 import (
 	"container/heap"
@@ -28,32 +33,31 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"testing"
 	"time"
 
+	"codepack"
 	"codepack/internal/peer"
+	"codepack/internal/workload"
 )
 
-// Config parameterizes a World. Zero values pick the defaults below.
-type Config struct {
+// Transport timing. Membership runs on its own defaults (heartbeat,
+// suspect and dead windows) and the ring on peer.DefaultReplicas vnodes.
+const (
+	simRPCTimeout = peer.DefaultHeartbeatInterval // an unanswered round trip fails
+	simMinDelay   = 5 * time.Millisecond          // bounds of one message hop
+	simMaxDelay   = 10 * simMinDelay
+)
+
+// simConfig is what a schedule sets.
+type simConfig struct {
 	// Nodes are the member URLs. Seeds maps a node to its seed list;
 	// nodes absent from Seeds default to "every other node".
 	Nodes []string
 	Seeds map[string][]string
 
-	// Replicas is the ring's vnode count per member;
-	// ReplicationFactor is how many members hold each digest (R).
-	Replicas          int
+	// ReplicationFactor is how many members hold each digest (R; 0 = 1).
 	ReplicationFactor int
-	HeartbeatInterval time.Duration
-	SuspectAfter      time.Duration
-	DeadAfter         time.Duration
-	GossipFanout      int
-
-	// RPCTimeout is when an unanswered round trip reports failure;
-	// MinDelay/MaxDelay bound one message hop's latency.
-	RPCTimeout time.Duration
-	MinDelay   time.Duration
-	MaxDelay   time.Duration
 
 	// DropProb drops a message hop (request and response roll
 	// independently); DupProb delivers a request twice.
@@ -61,39 +65,8 @@ type Config struct {
 	DupProb  float64
 }
 
-func (c Config) withDefaults() Config {
-	if c.Replicas <= 0 {
-		c.Replicas = peer.DefaultReplicas
-	}
-	if c.ReplicationFactor <= 0 {
-		c.ReplicationFactor = 1
-	}
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = time.Second
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 3 * c.HeartbeatInterval
-	}
-	if c.DeadAfter <= 0 {
-		c.DeadAfter = 10 * c.HeartbeatInterval
-	}
-	if c.GossipFanout <= 0 {
-		c.GossipFanout = peer.DefaultGossipFanout
-	}
-	if c.RPCTimeout <= 0 {
-		c.RPCTimeout = c.HeartbeatInterval
-	}
-	if c.MinDelay <= 0 {
-		c.MinDelay = 5 * time.Millisecond
-	}
-	if c.MaxDelay < c.MinDelay {
-		c.MaxDelay = 10 * c.MinDelay
-	}
-	return c
-}
-
-// Stats are the world's lifetime fault and invariant counters.
-type Stats struct {
+// simStats are the world's lifetime fault and invariant counters.
+type simStats struct {
 	Messages         int // round trips attempted
 	Dropped          int // message hops lost to DropProb or a partition
 	Duplicated       int // requests delivered twice
@@ -103,15 +76,15 @@ type Stats struct {
 	WrongServed      int // INVARIANT: must stay 0
 }
 
-// event is one scheduled callback; the heap orders by virtual time,
+// simEvent is one scheduled callback; the heap orders by virtual time,
 // then insertion sequence, so ties resolve deterministically.
-type event struct {
+type simEvent struct {
 	at  int64
 	seq int64
 	fn  func()
 }
 
-type eventHeap []*event
+type eventHeap []*simEvent
 
 func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
@@ -121,26 +94,102 @@ func (h eventHeap) Less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*simEvent)) }
 func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h eventHeap) peek() *event  { return h[0] }
 
-// World is one simulated cluster: the nodes, the virtual clock, the
-// event queue and the fault state.
+// simProgram is one client program: a tiny corpus program, assembled,
+// with its real digest.
+type simProgram struct {
+	label  string
+	im     *codepack.Image
+	digest string
+}
+
+// World is one simulated cluster: the nodes, the programs, the virtual
+// clock, the event queue and the fault state.
 type World struct {
-	cfg   Config
+	t     testing.TB
+	cfg   simConfig
 	rng   *rand.Rand
 	now   int64 // virtual nanoseconds
 	seq   int64
 	queue eventHeap
-	nodes map[string]*node
+	nodes map[string]*simNode
 	order []string // node URLs, sorted: the deterministic iteration order
 
 	groups    map[string]int // partition groups; nil = fully connected
 	committed map[string]bool
 
-	stats  Stats
+	progs    map[string]*simProgram // by digest
+	labels   map[string]string      // label -> digest
+	impostor []byte                 // a well-formed payload of no client program
+
+	stats  simStats
 	events []string
+}
+
+// newWorld builds a world with every node stopped, each with its own
+// cache directory; call Boot (or Restart individual nodes) to start
+// them.
+func newWorld(t testing.TB, seed int64, cfg simConfig) *World {
+	impostor, err := codepack.Assemble("impostor", workload.CorpusSource(2, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := codepack.Compress(impostor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &World{
+		t:         t,
+		cfg:       cfg,
+		rng:       rand.New(rand.NewSource(seed)),
+		nodes:     make(map[string]*simNode),
+		committed: make(map[string]bool),
+		progs:     make(map[string]*simProgram),
+		labels:    make(map[string]string),
+		impostor:  comp.Marshal(),
+	}
+	for _, url := range cfg.Nodes {
+		seeds := cfg.Seeds[url]
+		if seeds == nil {
+			for _, other := range cfg.Nodes {
+				if other != url {
+					seeds = append(seeds, other)
+				}
+			}
+		}
+		w.nodes[url] = &simNode{w: w, url: url, seeds: seeds, dir: t.TempDir()}
+		w.order = append(w.order, url)
+	}
+	sort.Strings(w.order)
+	return w
+}
+
+// digest returns the digest of the program named label, assembling it
+// on first use: labels map to distinct corpus programs in order of
+// first use.
+func (w *World) digest(label string) string {
+	if d, ok := w.labels[label]; ok {
+		return d
+	}
+	im, err := codepack.Assemble(label, workload.CorpusSource(1, len(w.labels)))
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	p := &simProgram{label: label, im: im, digest: codepack.ImageDigest(im)}
+	w.labels[label] = p.digest
+	w.progs[p.digest] = p
+	return p.digest
+}
+
+// digests returns the digests of the n programs labelled tag-000 on.
+func (w *World) digests(tag string, n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = w.digest(fmt.Sprintf("%s-%03d", tag, i))
+	}
+	return out
 }
 
 // logf appends one line to the event log, stamped with virtual time.
@@ -154,48 +203,27 @@ func (w *World) logf(format string, args ...any) {
 // EventLog returns the full event log, one line per event.
 func (w *World) EventLog() string { return strings.Join(w.events, "\n") }
 
-// New builds a world with every node stopped; call Boot (or Restart
-// individual nodes) to start them.
-func New(seed int64, cfg Config) *World {
-	cfg = cfg.withDefaults()
-	w := &World{
-		cfg:       cfg,
-		rng:       rand.New(rand.NewSource(seed)),
-		nodes:     make(map[string]*node),
-		committed: make(map[string]bool),
-	}
-	for _, url := range cfg.Nodes {
-		seeds := cfg.Seeds[url]
-		if seeds == nil {
-			for _, other := range cfg.Nodes {
-				if other != url {
-					seeds = append(seeds, other)
-				}
-			}
-		}
-		w.nodes[url] = &node{w: w, url: url, seeds: seeds, durable: make(map[string][]byte)}
-		w.order = append(w.order, url)
-	}
-	sort.Strings(w.order)
-	return w
-}
-
 // clock is the injectable Now for peer.Membership.
 func (w *World) clock() time.Time { return time.Unix(0, w.now) }
 
 // schedule queues fn to run after d of virtual time.
 func (w *World) schedule(d time.Duration, fn func()) {
 	w.seq++
-	heap.Push(&w.queue, &event{at: w.now + int64(d), seq: w.seq, fn: fn})
+	heap.Push(&w.queue, &simEvent{at: w.now + int64(d), seq: w.seq, fn: fn})
+}
+
+// step runs the next event.
+func (w *World) step() {
+	ev := heap.Pop(&w.queue).(*simEvent)
+	w.now = ev.at
+	ev.fn()
 }
 
 // Run advances virtual time by d, executing every event that falls due.
 func (w *World) Run(d time.Duration) {
 	end := w.now + int64(d)
-	for len(w.queue) > 0 && w.queue.peek().at <= end {
-		ev := heap.Pop(&w.queue).(*event)
-		w.now = ev.at
-		ev.fn()
+	for len(w.queue) > 0 && w.queue[0].at <= end {
+		w.step()
 	}
 	w.now = end
 }
@@ -207,9 +235,8 @@ func (w *World) Boot() {
 	}
 }
 
-// Crash stops a node hard: volatile state is gone, timers die, in-flight
-// responses to it are discarded. Its durable store (verified entries,
-// the -cache-dir analogue) survives for a later Restart.
+// Crash stops a node hard: its cache, membership, timers and in-flight
+// requests are gone. Its entry files survive for a later Restart.
 func (w *World) Crash(url string) {
 	w.logf("crash %s", url)
 	w.nodes[url].crash()
@@ -217,7 +244,7 @@ func (w *World) Crash(url string) {
 
 // Restart boots a crashed node: fresh membership at generation 1 (its
 // tombstone, if any, is refuted by incarnation on first contact), cache
-// reloaded from the durable store.
+// restored from its entry files.
 func (w *World) Restart(url string) {
 	w.logf("restart %s", url)
 	w.nodes[url].start()
@@ -257,19 +284,18 @@ func (w *World) blocked(a, b string) bool {
 
 // delay draws one message hop's latency.
 func (w *World) delay() time.Duration {
-	span := int64(w.cfg.MaxDelay - w.cfg.MinDelay)
-	return w.cfg.MinDelay + time.Duration(w.rng.Int63n(span+1))
+	return simMinDelay + time.Duration(w.rng.Int63n(int64(simMaxDelay-simMinDelay)+1))
 }
 
 // rpc is one faulty round trip: the request may be dropped, delayed or
 // duplicated on the way in, the response dropped or delayed on the way
-// out; done fires exactly once, with ok=false at RPCTimeout if no
+// out; done fires exactly once, with ok=false at simRPCTimeout if no
 // response made it back. Duplicate deliveries re-run the handler (its
 // side effects must be idempotent — that is the point) but answer once.
-func (w *World) rpc(from, to string, handler func(*node) any, done func(resp any, ok bool)) {
+func (w *World) rpc(from, to string, handler func(*simNode) any, done func(resp any, ok bool)) {
 	w.stats.Messages++
 	responded := false
-	w.schedule(w.cfg.RPCTimeout, func() {
+	w.schedule(simRPCTimeout, func() {
 		if !responded {
 			responded = true
 			done(nil, false)
@@ -305,51 +331,41 @@ func (w *World) rpc(from, to string, handler func(*node) any, done func(resp any
 	}
 }
 
-// canonical is the one true payload for a digest — the simulator's
-// stand-in for "what compressing this program produces". Verification
-// against it models the server's word-for-word decompress-and-compare.
-func canonical(digest string) []byte { return []byte("compressed:" + digest) }
-
-// Compress models a client POST /v1/compress for digest at the given
-// node: local verified cache, then quarantine-verify, then owner fetch,
-// then local compression (counted in Stats.Recompressions) with async
-// replication — the same tiered path as internal/server.
+// Compress is a client POST /v1/compress for digest at url. It advances
+// the world until the node answers (or crashes), so the request's steps
+// interleave with whatever else falls due meanwhile.
 func (w *World) Compress(url, digest string) {
-	w.committed[digest] = true
-	w.nodes[url].compress(digest)
-}
-
-// InjectCorrupt models an impostor PUT: a well-formed but wrong payload
-// pushed straight at a node's replication endpoint. It lands in
-// quarantine only if the node does not already hold the digest, exactly
-// like the real handler.
-func (w *World) InjectCorrupt(url, digest string) {
 	n := w.nodes[url]
 	if !n.up {
-		return
+		return // connection refused
 	}
-	n.handlePut(digest, []byte("corrupt:"+digest))
+	finished := false
+	n.compress(w.progs[digest], func() { finished = true })
+	for !finished {
+		w.step()
+	}
 }
 
-// Up reports whether a node is running.
-func (w *World) Up(url string) bool { return w.nodes[url].up }
+// InjectCorrupt is an impostor PUT: another program's well-formed
+// payload pushed under digest straight at a node's replication
+// endpoint. The shipping Accept quarantines it unless the node already
+// holds the digest.
+func (w *World) InjectCorrupt(url, digest string) {
+	if n := w.nodes[url]; n.up {
+		n.accept(digest, w.impostor)
+	}
+}
 
 // Live returns a running node's current ring view.
 func (w *World) Live(url string) []string { return w.nodes[url].mem.Live() }
 
 // Stats returns the world's counters.
-func (w *World) Stats() Stats { return w.stats }
+func (w *World) Stats() simStats { return w.stats }
 
-// NodeStats returns one node's lifetime event counters (zero value for
-// an unknown URL).
-func (w *World) NodeStats(url string) NodeStats {
-	if n, ok := w.nodes[url]; ok {
-		return n.stats
-	}
-	return NodeStats{}
-}
+// NodeStats returns one node's lifetime event counters.
+func (w *World) NodeStats(url string) nodeStats { return w.nodes[url].stats }
 
-// Committed returns every digest a client ever compressed, sorted.
+// Committed returns every digest a client was ever answered for, sorted.
 func (w *World) Committed() []string {
 	out := make([]string, 0, len(w.committed))
 	for d := range w.committed {
@@ -375,7 +391,7 @@ func (w *World) upNodes() []string {
 func (w *World) Converged() bool {
 	want := w.upNodes()
 	for _, url := range want {
-		if !equalStrings(w.nodes[url].mem.Live(), want) {
+		if strings.Join(w.nodes[url].mem.Live(), " ") != strings.Join(want, " ") {
 			return false
 		}
 	}
@@ -391,12 +407,12 @@ func (w *World) Settle(maxRounds int) error {
 	w.Heal()
 	w.cfg.DropProb, w.cfg.DupProb = 0, 0
 	for i := 0; i < maxRounds; i++ {
-		w.Run(w.cfg.HeartbeatInterval)
+		w.Run(peer.DefaultHeartbeatInterval)
 		if w.Converged() {
 			for _, url := range w.upNodes() {
 				w.nodes[url].runAE()
 			}
-			w.Run(4 * w.cfg.RPCTimeout)
+			w.Run(4 * simRPCTimeout)
 			if !w.Converged() {
 				continue
 			}
@@ -412,23 +428,22 @@ func (w *World) Settle(maxRounds int) error {
 
 // CheckWarm asserts the post-convergence warm-serve property: every
 // committed digest, requested at every running node, is served without
-// a recompression — from the local verified cache or the ring owner.
-// It returns the number of recompressions those requests paid (the
-// caller asserts 0) and any invariant violation.
+// a recompression — from the local cache or a ring owner. It returns
+// the number of recompressions those requests paid (the caller asserts
+// 0) and any invariant violation.
 func (w *World) CheckWarm() (recompressions int, err error) {
 	before := w.stats.Recompressions
 	for _, digest := range w.Committed() {
 		owners := ""
 		for _, url := range w.upNodes() {
-			n := w.nodes[url]
-			if o := strings.Join(n.ring.Owners(digest, w.cfg.ReplicationFactor), " "); owners == "" {
+			if o := strings.Join(w.nodes[url].ring.Owners(digest, w.cfg.ReplicationFactor), " "); owners == "" {
 				owners = o
 			} else if o != owners {
-				return 0, fmt.Errorf("sim: ring disagreement for %s: [%s] vs [%s]", digest, owners, o)
+				return 0, fmt.Errorf("sim: ring disagreement for %s: [%s] vs [%s]", w.progs[digest].label, owners, o)
 			}
 		}
 		for _, url := range w.upNodes() {
-			w.nodes[url].compress(digest)
+			w.Compress(url, digest)
 		}
 	}
 	if w.stats.UnverifiedServed > 0 {
@@ -452,26 +467,10 @@ func (w *World) CheckReplication() error {
 	ring := w.nodes[up[0]].ring
 	for _, d := range w.Committed() {
 		for _, o := range ring.Owners(d, w.cfg.ReplicationFactor) {
-			n := w.nodes[o]
-			if !n.up {
-				continue
-			}
-			if _, ok := n.cache[d]; !ok {
-				return fmt.Errorf("sim: replica %s missing committed digest %s", o, d)
+			if n := w.nodes[o]; n.up && !n.holds(d) {
+				return fmt.Errorf("sim: replica %s missing committed digest %s", o, w.progs[d].label)
 			}
 		}
 	}
 	return nil
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -109,7 +109,7 @@ func TestCompressMissSpanTree(t *testing.T) {
 // the fetcher's peer-replica span.
 func TestSpanPropagatesAcrossPeerFetch(t *testing.T) {
 	sa, sb, urlA, urlB := startPair(t, Config{}, Config{})
-	ring := peer.NewRing([]string{urlA, urlB}, peer.DefaultReplicas)
+	ring := peer.NewRing([]string{urlA, urlB})
 	im := imageOwnedBy(t, ring, urlA)
 
 	// B misses, consults owner A (which also misses), compresses locally.

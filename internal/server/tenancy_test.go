@@ -52,7 +52,7 @@ func TestPeerSignedClusterWarmHit(t *testing.T) {
 	_, _, urlA, urlB := startPair(t,
 		Config{Tenants: signedRegistry(clusterKey)},
 		Config{Tenants: signedRegistry(clusterKey)})
-	ring := peer.NewRing([]string{urlA, urlB}, peer.DefaultReplicas)
+	ring := peer.NewRing([]string{urlA, urlB})
 	im := imageOwnedBy(t, ring, urlA)
 
 	// The public endpoints stay open (anon enabled): the warm-tier flow

@@ -117,7 +117,7 @@ func TestRequestIDPropagatesToPeer(t *testing.T) {
 	}
 	startOn(t, sb, lnB)
 
-	ring := peer.NewRing([]string{capture.URL, urlB}, peer.DefaultReplicas)
+	ring := peer.NewRing([]string{capture.URL, urlB})
 	im := imageOwnedBy(t, ring, capture.URL)
 	b, err := json.Marshal(CompressRequest{ProgramRef: ProgramRef{
 		ImageB64: imageB64Of(im)}})
